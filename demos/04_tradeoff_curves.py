@@ -4,8 +4,8 @@ For qualities on a uniform ladder with margins proportional to quality
 and a bilinear tariff, the achievable (satisfaction m, profit b) pairs
 sit under a straight boundary: more satisfaction width costs profit.
 The script prints boundaries for several demand/quality ranges and then
-sweeps an empirical grid through the exact solver-side achievability
-predicate to show the closed form is a conservative envelope.
+evaluates the profile solver's own achievability predicate on an
+empirical (b, m) grid to show the closed form is a conservative envelope.
 """
 
 import numpy as np

@@ -159,17 +159,15 @@ def _cmd_menu(args) -> int:
                 **menu.to_dict()}
     if "json" in formats:
         write_json(out / "menu.json", solution)
+    rows = [(k + 1, s, p, float(config.menu.budgets[k].value(s)), net)
+            for k, (s, p, net) in enumerate(
+                zip(menu.qualities, menu.prices, menu.net_values))]
     if "csv" in formats:
-        rows = [(k + 1, s, p,
-                 float(config.menu.budgets[k].value(s)), net)
-                for k, (s, p, net) in enumerate(
-                    zip(menu.qualities, menu.prices, menu.net_values))]
         write_csv(out / "menu.csv",
                   ["type", "quality", "price", "budget_at_quality", "net_saving"],
                   rows)
     _print_table(args, ["type", "quality", "price", "net_saving"],
-                 [[k + 1, s, p, net] for k, (s, p, net) in enumerate(
-                     zip(menu.qualities, menu.prices, menu.net_values))])
+                 [[k, s, p, net] for k, s, p, _, net in rows])
     _say(args, f"menu certified; artifacts in {out}")
     return 0
 
@@ -184,19 +182,14 @@ def _cmd_profile(args) -> int:
                 **profile.to_dict()}
     if "json" in formats:
         write_json(out / "profile.json", solution)
+    header = ["k", "theta", "price", "window_lo", "window_hi", "delta"]
+    rows = [(k + 1, th, p, w[0], w[1], d)
+            for k, (th, p, w, d) in enumerate(
+                zip(profile.demands, profile.prices, profile.windows,
+                    profile.step_sizes))]
     if "csv" in formats:
-        rows = [(k + 1, th, p, w[0], w[1], d)
-                for k, (th, p, w, d) in enumerate(
-                    zip(profile.demands, profile.prices, profile.windows,
-                        profile.step_sizes))]
-        write_csv(out / "profile.csv",
-                  ["k", "theta", "price", "window_lo", "window_hi", "delta"],
-                  rows)
-    _print_table(args, ["k", "theta", "price", "window_lo", "window_hi", "delta"],
-                 [[k + 1, th, p, w[0], w[1], d]
-                  for k, (th, p, w, d) in enumerate(
-                      zip(profile.demands, profile.prices, profile.windows,
-                          profile.step_sizes))])
+        write_csv(out / "profile.csv", header, rows)
+    _print_table(args, header, rows)
     _say(args, f"profile certified; artifacts in {out}")
     return 0
 

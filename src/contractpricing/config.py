@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ScenarioError
 from .functions import (
     BilinearTariff,
     DomainBox,
@@ -89,7 +89,10 @@ def _number(value, path: str, *, positive: bool = False,
             nonnegative: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     if positive and value <= 0:
@@ -112,6 +115,14 @@ def _number_list(value, path: str, *, positive: bool = False) -> list[float]:
         raise ConfigError(f"{path}: expected a nonempty list of numbers")
     return [_number(v, f"{path}[{i}]", positive=positive)
             for i, v in enumerate(value)]
+
+
+def _validated(prefix: str, validate, *args) -> None:
+    """Run a dataclass ``validate`` and prefix its error with the field path."""
+    try:
+        validate(*args)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{prefix}{exc}") from None
 
 
 def _file_sha256(path: Path) -> str:
@@ -270,40 +281,26 @@ def _parse_output(raw: dict, path: str) -> tuple[Optional[str], Optional[str]]:
 def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
     box = _expect_dict(raw, path)
     _reject_unknown(box, {"theta_low", "theta_up", "s_low", "s_up"}, path)
-    values = {key: _number(_require(box, key, path), f"{path}.{key}",
-                           positive=True)
+    values = {key: _number(_require(box, key, path), f"{path}.{key}")
               for key in ("theta_low", "theta_up", "s_low", "s_up")}
-    if values["theta_low"] >= values["theta_up"]:
-        raise ConfigError(f"{path}: theta_low must be below theta_up")
-    if values["s_low"] >= values["s_up"]:
-        raise ConfigError(f"{path}: s_low must be below s_up")
-    return DomainBox(**values), values
+    domain = DomainBox(**values)
+    _validated(f"{path}: ", domain.validate)
+    return domain, values
 
 
-def _parse_margins(raw, path: str, n_qualities: int) -> tuple[MarginSpec, dict]:
+def _parse_margins(raw, path_prefix: str, n_qualities: int
+                   ) -> tuple[MarginSpec, dict]:
+    path = f"{path_prefix}margins"
     margins = _expect_dict(raw, path)
     _reject_unknown(margins, {"b", "m", "gap"}, path)
-    b = _number_list(_require(margins, "b", path), f"{path}.b", positive=True)
-    m = _number_list(_require(margins, "m", path), f"{path}.m", positive=True)
-    if len(b) != n_qualities or len(m) != n_qualities:
-        raise ConfigError(f"{path}: b and m need one entry per quality")
-    if any(x >= y for x, y in zip(b, b[1:])):
-        raise ConfigError("margins.b must be strictly increasing")
-    if any(x >= y for x, y in zip(m, m[1:])):
-        raise ConfigError("margins.m must be strictly increasing")
-    resolved = {"b": b, "m": m}
-    gap = None
+    resolved = {key: _number_list(_require(margins, key, path), f"{path}.{key}")
+                for key in ("b", "m")}
     if "gap" in margins:
-        gap = _number_list(margins["gap"], f"{path}.gap", positive=False)
-        if len(gap) != n_qualities - 1:
-            raise ConfigError(f"{path}.gap: needs one entry per consecutive pair")
-        for k, g in enumerate(gap):
-            if g < b[k + 1] - b[k] - 1e-12:
-                raise ConfigError(
-                    f"{path}.gap[{k}]: below the profit increment {b[k + 1] - b[k]:g}")
-        resolved["gap"] = gap
-    return MarginSpec(b=tuple(b), m=tuple(m),
-                      gap=tuple(gap) if gap is not None else None), resolved
+        resolved["gap"] = _number_list(margins["gap"], f"{path}.gap")
+    spec = MarginSpec(**{key: tuple(v) for key, v in resolved.items()})
+    # MarginSpec errors already name the margins.* field
+    _validated(path_prefix, spec.validate, n_qualities)
+    return spec, resolved
 
 
 def _parse_menu(raw: dict, base_dir: Path) -> tuple[MenuScenario, dict]:
@@ -366,9 +363,10 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
     if require_margins or "margins" in raw:
         margins, margins_res = _parse_margins(
             _require(raw, "margins", path_prefix or "config"),
-            "margins", len(qualities))
+            path_prefix, len(qualities))
     else:
-        # placeholder margins for templates that get swept over a grid
+        # placeholder margins for templates whose margins the tradeoff
+        # grid supplies
         margins = MarginSpec(b=tuple(0.1 * s for s in qualities),
                              m=tuple(0.01 * s for s in qualities))
         margins_res = {"b": list(margins.b), "m": list(margins.m)}

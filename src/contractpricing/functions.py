@@ -400,8 +400,10 @@ class DomainBox:
     s_up: float
 
     def validate(self) -> None:
-        if not (0 < self.theta_low < self.theta_up):
-            raise ScenarioError("demand bounds must satisfy 0 < theta_low < theta_up")
+        # a zero-width demand range is tolerated here; the achievability
+        # predicate reports it as a failing demand-range condition
+        if not (0 < self.theta_low <= self.theta_up):
+            raise ScenarioError("demand bounds must satisfy 0 < theta_low <= theta_up")
         if not (0 < self.s_low < self.s_up):
             raise ScenarioError("quality bounds must satisfy 0 < s_low < s_up")
 
@@ -610,11 +612,7 @@ def check_marginal_budget(tariff: TariffFunction,
     """
     if grid_n < 16:
         raise ScenarioError("grid_n must be at least 16")
-    # tolerate a degenerate demand range: the scan then collapses to a line
-    if box.theta_low <= 0 or box.theta_up < box.theta_low:
-        raise ScenarioError("demand bounds must be positive and ordered")
-    if not (0 < box.s_low < box.s_up):
-        raise ScenarioError("quality bounds must satisfy 0 < s_low < s_up")
+    box.validate()
     theta_grid = np.linspace(box.theta_low, box.theta_up, grid_n)
     s_grid = np.linspace(box.s_low, box.s_up, grid_n)
     worst = math.inf

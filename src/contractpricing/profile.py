@@ -72,10 +72,11 @@ class MarginSpec:
     def validate(self, n_qualities: int) -> None:
         if len(self.b) != n_qualities or len(self.m) != n_qualities:
             raise ScenarioError("margins.b and margins.m must have one entry per quality")
-        if self.b[0] <= 0 or any(x >= y for x, y in zip(self.b, self.b[1:])):
-            raise ScenarioError("margins.b must be positive and strictly increasing")
-        if self.m[0] <= 0 or any(x >= y for x, y in zip(self.m, self.m[1:])):
-            raise ScenarioError("margins.m must be positive and strictly increasing")
+        for name, values in (("b", self.b), ("m", self.m)):
+            if values[0] <= 0:
+                raise ScenarioError(f"margins.{name} must be positive")
+            if any(x >= y for x, y in zip(values, values[1:])):
+                raise ScenarioError(f"margins.{name} must be strictly increasing")
         gaps = self.gaps
         if len(gaps) != n_qualities - 1:
             raise ScenarioError("margins.gap must have one entry per consecutive pair")
@@ -105,19 +106,13 @@ class ProfileScenario:
     def n_qualities(self) -> int:
         return len(self.qualities)
 
-    def validate(self, *, strict_box: bool = True) -> None:
+    def validate(self) -> None:
         s = self.qualities
         if len(s) < 1:
             raise ScenarioError("at least one quality is required")
         if any(x >= y for x, y in zip(s, s[1:])):
             raise ScenarioError("qualities must be strictly increasing")
-        if strict_box:
-            self.box.validate()
-        else:
-            if self.box.theta_low <= 0 or self.box.theta_up < self.box.theta_low:
-                raise ScenarioError("demand bounds must be positive and ordered")
-            if not (0 < self.box.s_low < self.box.s_up):
-                raise ScenarioError("quality bounds must satisfy 0 < s_low < s_up")
+        self.box.validate()
         if s[0] < self.box.s_low - 1e-12 or s[-1] > self.box.s_up + 1e-12:
             raise ScenarioError("qualities must lie within [s_low, s_up]")
         self.margins.validate(len(s))
@@ -198,21 +193,59 @@ def step_size(m_cur: float, m_prev: float, epsilon: float, delta: float,
     return (m_cur + m_prev) * (1.0 + 2.0 * epsilon / delta) + gap / delta
 
 
+def _increments(m, gaps, sens) -> tuple:
+    """Delta_1 = m_1 followed by one :func:`step_size` per step.
+
+    ``m`` and ``gaps`` may hold floats or numpy arrays that broadcast
+    together; ``sens`` holds the (epsilon_j, delta_j) pairs of steps 2..L.
+    """
+    return (m[0],) + tuple(step_size(m[k + 1], m[k], eps, dlt, gaps[k])
+                           for k, (eps, dlt) in enumerate(sens))
+
+
 def step_sizes(scenario: ProfileScenario) -> tuple[float, ...]:
     """All demand increments Delta_1..Delta_L (Delta_1 = m_1)."""
-    m = scenario.margins.m
-    gaps = scenario.margins.gaps
-    deltas = [m[0]]
-    for j in range(2, scenario.n_qualities + 1):
-        eps_j, del_j = sensitivity_bounds(scenario, j)
-        deltas.append(step_size(m[j - 1], m[j - 2], eps_j, del_j, gaps[j - 2]))
-    return tuple(deltas)
+    sens = [sensitivity_bounds(scenario, j)
+            for j in range(2, scenario.n_qualities + 1)]
+    return _increments(scenario.margins.m, scenario.margins.gaps, sens)
 
 
-def check_achievability(scenario: ProfileScenario,
-                        *,
-                        _marginal: Optional[ConditionReport] = None,
-                        _deltas: Optional[tuple[float, ...]] = None) -> ConditionReport:
+def _margin_conditions(scenario: ProfileScenario, b_1, m_last, deltas):
+    """Entry and demand-range conditions as ``(passed, margin)`` pairs.
+
+    ``b_1``, ``m_last`` and ``deltas`` may be floats or numpy arrays that
+    broadcast together.  The arithmetic runs in the same order either
+    way (increments summed left to right), so a grid evaluated in one
+    broadcast agrees bit for bit with one scenario at a time.
+    """
+    box = scenario.box
+    s1 = scenario.qualities[0]
+    entry = (float(scenario.tariff.value(box.theta_low, s1))
+             - float(scenario.cost.value(s1)) - b_1)
+    spare = box.demand_range - (sum(deltas) + m_last)
+    return (entry >= -1e-12, entry), (spare > 0.0, spare)
+
+
+def _achievability(scenario: ProfileScenario
+                   ) -> tuple[ConditionReport, tuple[float, ...]]:
+    """Achievability report plus the increments it was decided on."""
+    scenario.validate()
+    marginal = check_marginal_budget(scenario.tariff, scenario.cost,
+                                     scenario.box, scenario.grid_n)
+    deltas = step_sizes(scenario)
+    margins = scenario.margins
+    (entry_ok, entry), (spare_ok, spare) = _margin_conditions(
+        scenario, margins.b[0], margins.m[-1], deltas)
+    return ConditionReport(marginal.checks + (
+        ConditionCheck("entry", entry_ok, entry, None,
+                       "F(theta_low, s_1) - C(s_1) - b_1"),
+        ConditionCheck("demand_range", spare_ok, spare, None,
+                       "theta range minus sum of increments plus final "
+                       "half-width (strict)"),
+    )), deltas
+
+
+def check_achievability(scenario: ProfileScenario) -> ConditionReport:
     """Report whether the requested margins are achievable.
 
     Three conditions, each with a signed margin:
@@ -223,34 +256,8 @@ def check_achievability(scenario: ProfileScenario,
       cost plus first profit target included;
     * ``demand_range``: the demand increments plus the final half-width
       fit strictly inside the demand range.
-
-    ``_marginal`` and ``_deltas`` allow grid sweeps to reuse the
-    margin-independent pieces; they must come from the same scenario.
     """
-    scenario.validate(strict_box=False)
-    box = scenario.box
-    s1 = scenario.qualities[0]
-    b1 = scenario.margins.b[0]
-
-    if _marginal is None:
-        _marginal = check_marginal_budget(scenario.tariff, scenario.cost, box,
-                                          scenario.grid_n)
-    checks = list(_marginal.checks)
-
-    entry_margin = (float(scenario.tariff.value(box.theta_low, s1))
-                    - float(scenario.cost.value(s1)) - b1)
-    checks.append(ConditionCheck(
-        "entry", entry_margin >= -1e-12, entry_margin, None,
-        "F(theta_low, s_1) - C(s_1) - b_1"))
-
-    deltas = step_sizes(scenario) if _deltas is None else _deltas
-    used = sum(deltas) + scenario.margins.m[-1]
-    range_margin = box.demand_range - used
-    checks.append(ConditionCheck(
-        "demand_range", range_margin > 0.0, range_margin, None,
-        "theta range minus sum of increments plus final half-width (strict)"))
-
-    return ConditionReport(tuple(checks))
+    return _achievability(scenario)[0]
 
 
 def price_window(scenario: ProfileScenario, j: int, theta_prev: float,
@@ -292,8 +299,7 @@ def build_profile(scenario: ProfileScenario) -> DemandPriceProfile:
     raises :class:`CertificationError` if the finished profile does not
     pass the independent verifier.  Never returns an uncertified profile.
     """
-    scenario.validate()
-    report = check_achievability(scenario)
+    report, deltas = _achievability(scenario)
     if not report.passed:
         failed = ", ".join(c.cid for c in report.failures)
         raise NotAchievableError(
@@ -305,7 +311,6 @@ def build_profile(scenario: ProfileScenario) -> DemandPriceProfile:
     b = scenario.margins.b
     m = scenario.margins.m
     lam = scenario.price_lambda
-    deltas = step_sizes(scenario)
 
     theta_1 = box.theta_low + m[0]
     w_lo = float(scenario.cost.value(s[0])) + b[0]

@@ -8,27 +8,25 @@ margins proportional to quality, tariff d_p * theta * s) the achievable
 
 whose extremes are the zero-profit satisfaction cap ``m0`` and the
 zero-satisfaction profit cap ``b0``.  For arbitrary scenarios the region
-is estimated empirically by sweeping a (b, m) grid through the exact
-solver-side achievability predicate.
+is mapped on a (b, m) grid by broadcasting the profile solver's own
+achievability predicate over the whole grid at once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ScenarioError
-from .profile import (
-    MarginSpec,
-    ProfileScenario,
-    check_achievability,
-    sensitivity_bounds,
-    step_size,
-)
 from .functions import check_marginal_budget
+from .profile import (
+    ProfileScenario,
+    _increments,
+    _margin_conditions,
+    sensitivity_bounds,
+)
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,12 @@ def empirical_region(scenario_template: ProfileScenario,
 
     Cell (i, j) reports whether the margins ``b_k = b_grid[i] * s_k``,
     ``m_k = m_grid[j] * s_k`` pass the full achievability check of the
-    profile solver.  The margin-independent pieces (marginal-budget scan,
-    sensitivity bounds) are computed once; the per-cell conditions reuse
-    the solver's own predicate, so the matrix is exactly the set of
-    scenarios :func:`~contractpricing.profile.build_profile` accepts.
+    profile solver; the template must be a valid scenario, and its own
+    margins are ignored.  The margin-independent pieces (marginal-budget
+    scan, sensitivity bounds) are computed once; the margin-dependent
+    conditions are the solver's own predicate, evaluated once on the
+    broadcast grid, so the matrix is exactly the set of scenarios
+    :func:`~contractpricing.profile.build_profile` accepts.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     m_grid = np.asarray(m_grid, dtype=float)
@@ -108,27 +108,16 @@ def empirical_region(scenario_template: ProfileScenario,
         if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
             raise ScenarioError(f"{name} must be positive and increasing")
 
-    qualities = np.asarray(scenario_template.qualities, dtype=float)
-    n = qualities.size
-    # margin-independent pieces, computed once for the whole sweep
-    marginal = check_marginal_budget(scenario_template.tariff,
-                                     scenario_template.cost,
-                                     scenario_template.box,
-                                     scenario_template.grid_n)
-    sens = [sensitivity_bounds(scenario_template, j) for j in range(2, n + 1)]
-
-    result = np.zeros((b_grid.size, m_grid.size), dtype=bool)
-    for i, b in enumerate(b_grid):
-        b_vec = b * qualities
-        gaps = np.diff(b_vec)
-        for j, m in enumerate(m_grid):
-            m_vec = m * qualities
-            margins = MarginSpec(b=tuple(b_vec), m=tuple(m_vec))
-            scenario = dataclasses.replace(scenario_template, margins=margins)
-            deltas = [float(m_vec[0])]
-            deltas += [step_size(m_vec[k + 1], m_vec[k], eps, dlt, gaps[k])
-                       for k, (eps, dlt) in enumerate(sens)]
-            report = check_achievability(scenario, _marginal=marginal,
-                                         _deltas=tuple(deltas))
-            result[i, j] = report.passed
-    return result
+    template = scenario_template
+    template.validate()
+    marginal = check_marginal_budget(template.tariff, template.cost,
+                                     template.box, template.grid_n)
+    sens = [sensitivity_bounds(template, j)
+            for j in range(2, template.n_qualities + 1)]
+    # profit floors vary down the rows, half-widths across the columns
+    b = [b_grid[:, None] * s for s in template.qualities]
+    m = [m_grid[None, :] * s for s in template.qualities]
+    gaps = [y - x for x, y in zip(b, b[1:])]
+    (entry_ok, _), (spare_ok, _) = _margin_conditions(
+        template, b[0], m[-1], _increments(m, gaps, sens))
+    return marginal.passed & entry_ok & spare_ok

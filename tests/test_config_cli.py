@@ -1,12 +1,15 @@
 """Config parsing and the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contractpricing
 from contractpricing import ConfigError, load_config
 from contractpricing.cli import run
 
@@ -73,6 +76,24 @@ class TestLoadConfig:
         payload["margins"]["m"] = [0.02, 0.01, 0.03]
         with pytest.raises(ConfigError,
                            match="margins.m must be strictly increasing"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_margin_rule_error_names_field(self, tmp_path):
+        payload = json.loads(json.dumps(PROFILE_CONFIG))
+        payload["margins"]["gap"] = [0.05, 0.1]
+        with pytest.raises(ConfigError, match=r"margins.gap\[0\]"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_box_rule_error_names_field(self, tmp_path):
+        payload = json.loads(json.dumps(PROFILE_CONFIG))
+        payload["box"]["theta_up"] = 0.2
+        with pytest.raises(ConfigError, match="box: demand bounds"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_huge_integer_literal_names_field(self, tmp_path):
+        payload = json.loads(json.dumps(PROFILE_CONFIG))
+        payload["cost"]["slope"] = 10 ** 400
+        with pytest.raises(ConfigError, match="cost.slope: must be finite"):
             load_config(write_config(tmp_path, payload))
 
     def test_unknown_family_names_field(self, tmp_path):
@@ -288,6 +309,16 @@ class TestCliTradeoffCheck:
         failing = [c["id"] for c in report["checks"] if not c["passed"]]
         assert any(cid.startswith("a3") for cid in failing)
 
+    def test_check_zero_width_demand_range_not_achievable(self, tmp_path):
+        payload = json.loads(json.dumps(PROFILE_CONFIG))
+        payload["box"]["theta_up"] = payload["box"]["theta_low"]
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(["check", config, "--out", str(out), "--quiet"]) == 3
+        report = json.loads((out / "check.json").read_text())
+        failing = [c["id"] for c in report["checks"] if not c["passed"]]
+        assert failing == ["demand_range"]
+
     def test_check_profile_passes(self, tmp_path):
         config = write_config(tmp_path, PROFILE_CONFIG)
         assert run(["check", config, "--out", str(tmp_path / "o"),
@@ -304,6 +335,15 @@ class TestCliPlumbing:
         parsed = json.loads(err)
         assert parsed["error"]["exit_code"] == 2
         assert "expp" in parsed["error"]["message"]
+
+    def test_huge_integer_literal_is_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(PROFILE_CONFIG))
+        payload["cost"]["slope"] = 10 ** 400
+        config = write_config(tmp_path, payload)
+        assert run(["check", config, "--quiet"]) == 2
+        parsed = json.loads(capsys.readouterr().err)
+        assert parsed["error"]["type"] == "ConfigError"
+        assert "cost.slope" in parsed["error"]["message"]
 
     def test_mode_mismatch(self, tmp_path):
         config = write_config(tmp_path, MENU_CONFIG)
@@ -322,9 +362,13 @@ class TestCliPlumbing:
 
     def test_module_entry_point(self, tmp_path):
         config = write_config(tmp_path, TRADEOFF_CONFIG)
+        # the child imports the same package copy as this process
+        package_root = str(Path(contractpricing.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "contractpricing", "tradeoff", config,
              "--out", str(tmp_path / "out"), "--quiet"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert (tmp_path / "out" / "tradeoff.csv").exists()

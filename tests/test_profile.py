@@ -281,6 +281,25 @@ class TestBuildProfile:
                 + bilinear_profile_scenario.margins.b[k])
             assert p_k >= floor - 1e-12
 
+    def test_sensitivity_bounds_once_per_step(self, monkeypatch):
+        import contractpricing.profile as profile_module
+
+        calls = []
+        original = profile_module.sensitivity_bounds
+
+        def counting(scenario, j):
+            calls.append(j)
+            return original(scenario, j)
+
+        monkeypatch.setattr(profile_module, "sensitivity_bounds", counting)
+        qualities = (1.0, 1.5, 2.0, 2.5, 3.0)
+        scenario = dataclasses.replace(
+            make_bilinear_profile_scenario(), qualities=qualities,
+            margins=MarginSpec(b=tuple(0.02 * s for s in qualities),
+                               m=tuple(0.002 * s for s in qualities)))
+        build_profile(scenario)
+        assert sorted(calls) == [2, 3, 4, 5]
+
     def test_certification_failure_is_surfaced(self, monkeypatch,
                                                bilinear_profile_scenario):
         import contractpricing.profile as profile_module

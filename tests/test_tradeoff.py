@@ -1,5 +1,7 @@
 """Tradeoff curves and the empirical achievability region."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,13 @@ from contractpricing import (
     MarginSpec,
     ProfileScenario,
     ScenarioError,
+    TabulatedTariff,
     build_profile,
+    check_achievability,
     empirical_region,
     homogeneous_region,
 )
+from conftest import make_separable_profile_scenario
 
 
 def boundary_residual(curve):
@@ -31,6 +36,27 @@ def make_template(d_p=12.0, grid_n=64):
         margins=MarginSpec(b=(0.1, 0.2, 0.3), m=(0.01, 0.02, 0.03)),
         grid_n=grid_n,
     )
+
+
+def make_tabulated_template():
+    """The bilinear template with its tariff sampled on a 40 x 40 grid."""
+    thetas = np.linspace(1.0 / 3.0, 1.0, 40)
+    ss = np.linspace(0.5, 3.5, 40)
+    return dataclasses.replace(
+        make_template(d_p=4.0),
+        tariff=TabulatedTariff(thetas, ss, 4.0 * np.outer(thetas, ss)))
+
+
+def oracle_region(template, b_grid, m_grid):
+    """Reference matrix: the solver's predicate on one scenario per cell."""
+    s = np.asarray(template.qualities)
+    result = np.zeros((len(b_grid), len(m_grid)), dtype=bool)
+    for i, b in enumerate(b_grid):
+        for j, m in enumerate(m_grid):
+            margins = MarginSpec(b=tuple(b * s), m=tuple(m * s))
+            scenario = dataclasses.replace(template, margins=margins)
+            result[i, j] = check_achievability(scenario).passed
+    return result
 
 
 class TestHomogeneousRegion:
@@ -127,7 +153,6 @@ class TestEmpiricalRegion:
             assert matrix[0, 0], (m, b)
 
     def test_achievable_cells_build_certified_profiles(self):
-        import dataclasses
         template = make_template(d_p=4.0)
         b_grid = [0.05, 0.2]
         m_grid = [0.002, 0.008]
@@ -140,6 +165,39 @@ class TestEmpiricalRegion:
                     m=tuple(m * s for s in template.qualities))
                 scenario = dataclasses.replace(template, margins=margins)
                 build_profile(scenario)  # certified or raises
+
+    @pytest.mark.parametrize("template, b_max, m_max", [
+        (make_template(d_p=4.0), 0.6, 0.03),
+        (make_separable_profile_scenario(), 1.0, 0.015),
+        (make_tabulated_template(), 0.6, 0.03),
+    ], ids=["bilinear", "separable", "tabulated"])
+    def test_matches_per_cell_oracle(self, template, b_max, m_max):
+        # the coarsest scan keeps the per-cell oracle cheap on a fine grid
+        template = dataclasses.replace(template, grid_n=16)
+        b_grid = np.linspace(0.02, b_max, 15)
+        m_grid = np.linspace(0.001, m_max, 15)
+        matrix = empirical_region(template, b_grid, m_grid)
+        assert matrix.any() and not matrix.all()
+        assert np.array_equal(matrix, oracle_region(template, b_grid, m_grid))
+
+    def test_failing_marginal_budget_rejects_every_cell(self):
+        template = make_template(d_p=1.0)
+        b_grid = [1e-4, 1e-3]
+        m_grid = [1e-5, 1e-4, 1e-3]
+        matrix = empirical_region(template, b_grid, m_grid)
+        assert matrix.shape == (2, 3)
+        assert not matrix.any()
+        assert np.array_equal(matrix, oracle_region(template, b_grid, m_grid))
+
+    def test_single_quality_matches_oracle(self):
+        template = dataclasses.replace(
+            make_template(d_p=4.0), qualities=(2.0,),
+            margins=MarginSpec(b=(0.1,), m=(0.01,)))
+        b_grid = np.linspace(0.01, 0.5, 7)
+        m_grid = np.linspace(0.01, 0.5, 7)
+        matrix = empirical_region(template, b_grid, m_grid)
+        assert matrix.any() and not matrix.all()
+        assert np.array_equal(matrix, oracle_region(template, b_grid, m_grid))
 
     def test_grid_validation(self):
         with pytest.raises(ScenarioError):
