@@ -117,10 +117,10 @@ def _number_list(value, path: str, *, positive: bool = False) -> list[float]:
             for i, v in enumerate(value)]
 
 
-def _validated(prefix: str, validate, *args) -> None:
-    """Run a dataclass ``validate`` and prefix its error with the field path."""
+def _validated(prefix: str, validate, *args):
+    """Call a validator or constructor, prefixing its error with the field path."""
     try:
-        validate(*args)
+        return validate(*args)
     except ScenarioError as exc:
         raise ScenarioError(f"{prefix}{exc}") from None
 
@@ -181,11 +181,9 @@ def parse_scalar_function(decl, path: str, base_dir: Path
             data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}.csv: cannot parse {csv_path}: {exc}") from None
-        if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
+        if data.shape[1] != 2:
             raise ConfigError(f"{path}.csv: expected two columns (coordinate, value)")
-        if np.any(np.diff(data[:, 0]) <= 0):
-            raise ConfigError(f"{path}.csv: first column must be strictly increasing")
-        func = TabulatedFunction(data[:, 0], data[:, 1])
+        func = _validated(f"{path}.csv: ", TabulatedFunction, data[:, 0], data[:, 1])
         return func, {"family": "tabulated", "csv": str(name),
                       "data_sha256": _file_sha256(csv_path)}
     raise ConfigError(f"{path}.family: unknown family '{family}'")
@@ -215,11 +213,8 @@ def parse_tariff_function(decl, path: str, base_dir: Path
         if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
             raise ConfigError(
                 f"{path}.csv: expected a matrix with demand rows and quality columns")
-        thetas, ss, values = raw[1:, 0], raw[0, 1:], raw[1:, 1:]
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(ss))
-                and np.all(np.isfinite(values))):
-            raise ConfigError(f"{path}.csv: grid and values must be finite")
-        return (TabulatedTariff(thetas, ss, values),
+        return (_validated(f"{path}.csv: ", TabulatedTariff,
+                           raw[1:, 0], raw[0, 1:], raw[1:, 1:]),
                 {"family": "tabulated", "csv": str(name),
                  "data_sha256": _file_sha256(csv_path)})
     raise ConfigError(f"{path}.family: unknown family '{family}'")
@@ -288,8 +283,7 @@ def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
     return domain, values
 
 
-def _parse_margins(raw, path_prefix: str, n_qualities: int
-                   ) -> tuple[MarginSpec, dict]:
+def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
     path = f"{path_prefix}margins"
     margins = _expect_dict(raw, path)
     _reject_unknown(margins, {"b", "m", "gap"}, path)
@@ -297,10 +291,7 @@ def _parse_margins(raw, path_prefix: str, n_qualities: int
                 for key in ("b", "m")}
     if "gap" in margins:
         resolved["gap"] = _number_list(margins["gap"], f"{path}.gap")
-    spec = MarginSpec(**{key: tuple(v) for key, v in resolved.items()})
-    # MarginSpec errors already name the margins.* field
-    _validated(path_prefix, spec.validate, n_qualities)
-    return spec, resolved
+    return MarginSpec(**{key: tuple(v) for key, v in resolved.items()}), resolved
 
 
 def _parse_menu(raw: dict, base_dir: Path) -> tuple[MenuScenario, dict]:
@@ -343,8 +334,6 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
                         ) -> tuple[ProfileScenario, dict]:
     qualities = _number_list(_require(raw, "qualities", path_prefix or "config"),
                              f"{path_prefix}qualities", positive=True)
-    if any(x >= y for x, y in zip(qualities, qualities[1:])):
-        raise ConfigError(f"{path_prefix}qualities must be strictly increasing")
     tariff, tariff_res = parse_tariff_function(
         _require(raw, "tariff", path_prefix or "config"),
         f"{path_prefix}tariff", base_dir)
@@ -353,17 +342,9 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
         f"{path_prefix}cost", base_dir)
     box, box_res = _parse_box(_require(raw, "box", path_prefix or "config"),
                               f"{path_prefix}box")
-    if tariff.family == "tabulated":
-        t_lo, t_hi = tariff.theta_domain
-        s_lo, s_hi = tariff.s_domain
-        if (box.theta_low < t_lo - 1e-12 or box.theta_up > t_hi + 1e-12
-                or box.s_low < s_lo - 1e-12 or box.s_up > s_hi + 1e-12):
-            raise ConfigError(
-                f"{path_prefix}box: exceeds the tabulated tariff grid")
     if require_margins or "margins" in raw:
         margins, margins_res = _parse_margins(
-            _require(raw, "margins", path_prefix or "config"),
-            path_prefix, len(qualities))
+            _require(raw, "margins", path_prefix or "config"), path_prefix)
     else:
         # placeholder margins for templates whose margins the tradeoff
         # grid supplies
@@ -371,13 +352,13 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
                              m=tuple(0.01 * s for s in qualities))
         margins_res = {"b": list(margins.b), "m": list(margins.m)}
     price_lambda = _number(raw.get("price_lambda", DEFAULTS["price_lambda"]),
-                           f"{path_prefix}price_lambda", nonnegative=True)
-    if price_lambda > 1.0:
-        raise ConfigError(f"{path_prefix}price_lambda: must lie in [0, 1]")
+                           f"{path_prefix}price_lambda")
     grid_n = _integer(raw.get("grid_n", DEFAULTS["grid_n"]),
                       f"{path_prefix}grid_n", minimum=16)
     scenario = ProfileScenario(tuple(qualities), tariff, cost, box, margins,
                                price_lambda=price_lambda, grid_n=grid_n)
+    # the scenario owns its rules; its errors already name the field
+    _validated(path_prefix, scenario.validate)
     resolved = {
         "mode": "profile",
         "qualities": qualities,

@@ -102,4 +102,4 @@ class EmptyPriceWindowError(NumericalError):
 
 
 class ReducedAccuracyWarning(UserWarning):
-    """A one-sided difference was used where a central one is undefined."""
+    """No longer emitted (tabulated derivatives are exact); kept for filters."""

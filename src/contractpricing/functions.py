@@ -3,7 +3,8 @@
 Scalar functions model costs C(s), profit targets B(s) and per-type
 budgets P_i(s); tariff functions model the bivariate willingness to pay
 F(theta, s).  Parametric families carry analytic first derivatives;
-tabulated families fall back to finite differences.  The module also
+tabulated families differentiate their own piecewise-linear interpolant,
+reading values and slopes through one cell lookup.  The module also
 hosts the numeric checks of the regularity assumptions behind the two
 constructions (menu regularity, marginal budget increase).
 
@@ -14,18 +15,14 @@ pure, so values can be shared freely across threads or processes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ReducedAccuracyWarning, ScenarioError
+from .errors import DomainError, ScenarioError
 
 ArrayLike = Union[float, np.ndarray]
-
-#: relative step for finite-difference derivatives of tabulated data
-FD_STEP = 1e-5
 
 #: slack used when certifying convexity/concavity from second differences
 CURVATURE_SLACK = 1e-9
@@ -35,6 +32,9 @@ CROSSING_MARGIN = 1e-12
 
 #: default number of grid points for all condition scans
 DEFAULT_GRID_N = 512
+
+#: largest grid accepted by the condition scans (work grows as grid_n**2)
+MAX_GRID_N = 1 << 16
 
 
 def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
@@ -49,6 +49,20 @@ def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
 
 def _scalar_inputs(*xs) -> bool:
     return all(isinstance(x, (int, float)) for x in xs)
+
+
+def check_size(name: str, value: int, lo: int, hi: int) -> None:
+    """Reject a sizing knob outside [lo, hi] before anything is allocated."""
+    if not lo <= value <= hi:
+        raise ScenarioError(f"{name} must be at least {lo}" if value < lo
+                            else f"{name} must be at most {hi}")
+
+
+def _cell(grid: np.ndarray, x: np.ndarray):
+    """Cell index of ``x`` (the last knot closes the last cell) and the
+    position of ``x`` in the cell, 0 on its left knot and 1 on its right."""
+    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    return k, (x - grid[k]) / (grid[k + 1] - grid[k])
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +199,11 @@ class ScaledFunction(ScalarFunction):
 
 
 class TabulatedFunction(ScalarFunction):
-    """Monotone piecewise-linear interpolant of a sampled function.
+    """Piecewise-linear interpolant of a sampled function.
 
-    The sample grid must have a strictly increasing coordinate column.
-    Derivatives use a central finite difference with relative step
-    ``FD_STEP``; at the domain boundary the difference degrades to a
-    one-sided one and a :class:`ReducedAccuracyWarning` is emitted.
+    Only the coordinate column is checked (strictly increasing); the
+    values need not be monotone.  The derivative is the slope of the
+    segment holding ``s``; on an interior knot, the mean of the two.
     """
 
     family = "tabulated"
@@ -207,25 +220,15 @@ class TabulatedFunction(ScalarFunction):
         super().__init__((float(xs[0]), float(xs[-1])))
         self.xs = xs
         self.ys = ys
+        self.slopes = np.diff(ys) / np.diff(xs)
 
     def _value(self, s):
         return np.interp(s, self.xs, self.ys)
 
     def _derivative(self, s):
-        lo, hi = self.domain
-        h = FD_STEP * np.maximum(1.0, np.abs(s))
-        left = np.maximum(s - h, lo)
-        right = np.minimum(s + h, hi)
-        if np.any((s - h < lo) | (s + h > hi)):
-            warnings.warn(
-                "one-sided difference at tabulated boundary; reduced accuracy",
-                ReducedAccuracyWarning,
-                stacklevel=3,
-            )
-        width = right - left
-        if np.any(width <= 0):
-            raise DomainError("tabulated domain too narrow for finite differences")
-        return (self._value(right) - self._value(left)) / width
+        k, w = _cell(self.xs, s)
+        # on an interior knot (w == 0), the mean of the two one-sided slopes
+        return 0.5 * (self.slopes[k] + self.slopes[k - ((w == 0) & (k > 0))])
 
     def __repr__(self):
         return f"TabulatedFunction({self.xs.size} knots on [{self.domain[0]:g}, {self.domain[1]:g}])"
@@ -331,8 +334,9 @@ class SeparableTariff(TariffFunction):
 class TabulatedTariff(TariffFunction):
     """Bilinear interpolation of F sampled on a rectilinear grid.
 
-    Partials use central finite differences clipped to the grid box; at
-    a box edge the difference is one-sided.
+    The partials are the interpolant's own: cell slopes, interpolated
+    along the other coordinate, averaged over the cells on either side of
+    an interior knot and one-sided at the grid edges.
     """
 
     family = "tabulated"
@@ -341,23 +345,25 @@ class TabulatedTariff(TariffFunction):
         thetas = np.asarray(thetas, dtype=float)
         ss = np.asarray(ss, dtype=float)
         values = np.asarray(values, dtype=float)
-        if thetas.ndim != 1 or ss.ndim != 1 or values.shape != (thetas.size, ss.size):
-            raise ScenarioError("tabulated tariff needs a (theta, s) grid with matching value matrix")
+        if (thetas.ndim != 1 or ss.ndim != 1 or min(thetas.size, ss.size) < 2
+                or values.shape != (thetas.size, ss.size)):
+            raise ScenarioError("tabulated tariff needs 2+ knots per axis and a matching value matrix")
+        if not all(np.all(np.isfinite(a)) for a in (thetas, ss, values)):
+            raise ScenarioError("tabulated tariff grids and values must be finite")
         if np.any(np.diff(thetas) <= 0) or np.any(np.diff(ss) <= 0):
             raise ScenarioError("tabulated tariff grids must be strictly increasing")
         super().__init__((float(thetas[0]), float(thetas[-1])), (float(ss[0]), float(ss[-1])))
         self.thetas = thetas
         self.ss = ss
         self.values_grid = values
+        ds = np.diff(ss)
+        self.theta_slopes = np.diff(values, axis=0) / np.diff(thetas)[:, None]
+        self.s_slopes = np.diff(values, axis=1) / ds
+        self.cross_slopes = np.diff(self.theta_slopes, axis=1) / ds
 
     def _value(self, th, sv):
         th, sv = np.broadcast_arrays(np.asarray(th, float), np.asarray(sv, float))
-        i = np.clip(np.searchsorted(self.thetas, th, side="right") - 1, 0, self.thetas.size - 2)
-        j = np.clip(np.searchsorted(self.ss, sv, side="right") - 1, 0, self.ss.size - 2)
-        t0, t1 = self.thetas[i], self.thetas[i + 1]
-        s0, s1 = self.ss[j], self.ss[j + 1]
-        wt = (th - t0) / (t1 - t0)
-        ws = (sv - s0) / (s1 - s0)
+        (i, wt), (j, ws) = _cell(self.thetas, th), _cell(self.ss, sv)
         v = self.values_grid
         return ((1 - wt) * (1 - ws) * v[i, j]
                 + wt * (1 - ws) * v[i + 1, j]
@@ -366,18 +372,16 @@ class TabulatedTariff(TariffFunction):
 
     def _partials(self, th, sv):
         th, sv = np.broadcast_arrays(th, sv)
-        t_lo, t_hi = self.theta_domain
-        s_lo, s_hi = self.s_domain
-        ht = FD_STEP * np.maximum(1.0, np.abs(th))
-        hs = FD_STEP * np.maximum(1.0, np.abs(sv))
-        t0, t1 = np.maximum(th - ht, t_lo), np.minimum(th + ht, t_hi)
-        s0, s1 = np.maximum(sv - hs, s_lo), np.minimum(sv + hs, s_hi)
-        dt = t1 - t0
-        ds = s1 - s0
-        f_theta = (self._value(t1, sv) - self._value(t0, sv)) / dt
-        f_s = (self._value(th, s1) - self._value(th, s0)) / ds
-        f_2 = (self._value(t1, s1) - self._value(t1, s0)
-               - self._value(t0, s1) + self._value(t0, s0)) / (dt * ds)
+        (i, wt), (j, ws) = _cell(self.thetas, th), _cell(self.ss, sv)
+        # on an interior knot, il or jl is the cell on the other side
+        il, jl = i - ((wt == 0) & (i > 0)), j - ((ws == 0) & (j > 0))
+        st, ss, sc = self.theta_slopes, self.s_slopes, self.cross_slopes
+        # off the knots il == i and jl == j, and each mean is exact
+        f_theta = 0.5 * ((1 - ws) * (st[i, j] + st[il, j])
+                         + ws * (st[i, j + 1] + st[il, j + 1]))
+        f_s = 0.5 * ((1 - wt) * (ss[i, j] + ss[i, jl])
+                     + wt * (ss[i + 1, j] + ss[i + 1, jl]))
+        f_2 = 0.25 * ((sc[i, j] + sc[il, j]) + (sc[i, jl] + sc[il, jl]))
         return f_theta, f_s, f_2
 
     def __repr__(self):
@@ -501,8 +505,7 @@ def check_menu_regularity(budgets: Sequence[ScalarFunction],
     Failures carry the witness grid point.  Report-valued: never raises
     on a condition failure.
     """
-    if grid_n < 16:
-        raise ScenarioError("grid_n must be at least 16")
+    check_size("grid_n", grid_n, 16, MAX_GRID_N)
     lo, hi = float(s_probe[0]), float(s_probe[1])
     if lo < 0 or hi <= lo:
         raise ScenarioError("s_probe must be a positive interval")
@@ -610,8 +613,7 @@ def check_marginal_budget(tariff: TariffFunction,
     the worst-case (over demand) marginal willingness to pay F_s against
     the marginal cost C'(s) at every quality.  Report-valued.
     """
-    if grid_n < 16:
-        raise ScenarioError("grid_n must be at least 16")
+    check_size("grid_n", grid_n, 16, MAX_GRID_N)
     box.validate()
     theta_grid = np.linspace(box.theta_low, box.theta_up, grid_n)
     s_grid = np.linspace(box.s_low, box.s_up, grid_n)

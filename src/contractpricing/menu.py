@@ -29,7 +29,7 @@ from .errors import (
     ScenarioError,
     UnboundedFeasibleSetError,
 )
-from .functions import ScalarFunction, check_menu_regularity
+from .functions import MAX_GRID_N, ScalarFunction, check_menu_regularity, check_size
 from .verify import verify_menu
 
 #: relative bracket width at which the maximizer bisection stops
@@ -70,8 +70,7 @@ class MenuScenario:
             raise ScenarioError("s_search_max must be positive")
         if not 0 < self.s_probe_max <= self.s_search_max:
             raise ScenarioError("s_probe_max must lie in (0, s_search_max]")
-        if self.grid_n < 16:
-            raise ScenarioError("grid_n must be at least 16")
+        check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
 
     def net(self, i: int, s):
         """Net saving f_i(s) = P_i(s) - C(s) - B(s) for 1-based type i."""

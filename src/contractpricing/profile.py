@@ -30,12 +30,14 @@ from .errors import (
     ScenarioError,
 )
 from .functions import (
+    MAX_GRID_N,
     ConditionCheck,
     ConditionReport,
     DomainBox,
     ScalarFunction,
     TariffFunction,
     check_marginal_budget,
+    check_size,
 )
 from .verify import verify_profile
 
@@ -107,19 +109,26 @@ class ProfileScenario:
         return len(self.qualities)
 
     def validate(self) -> None:
-        s = self.qualities
+        s, box = self.qualities, self.box
         if len(s) < 1:
             raise ScenarioError("at least one quality is required")
         if any(x >= y for x, y in zip(s, s[1:])):
             raise ScenarioError("qualities must be strictly increasing")
-        self.box.validate()
-        if s[0] < self.box.s_low - 1e-12 or s[-1] > self.box.s_up + 1e-12:
+        box.validate()
+        if s[0] < box.s_low - 1e-12 or s[-1] > box.s_up + 1e-12:
             raise ScenarioError("qualities must lie within [s_low, s_up]")
+        demand, quality = (box.theta_low, box.theta_up), (box.s_low, box.s_up)
+        for what, (lo, hi), owner, (d_lo, d_hi) in (
+                ("demand range", demand, "tariff's theta", self.tariff.theta_domain),
+                ("quality range", quality, "tariff's s", self.tariff.s_domain),
+                ("quality range", quality, "cost's", self.cost.domain)):
+            if lo < d_lo - 1e-12 or hi > d_hi + 1e-12:
+                raise ScenarioError(f"box {what} [{lo:g}, {hi:g}] exceeds the "
+                                    f"{owner} domain [{d_lo:g}, {d_hi:g}]")
         self.margins.validate(len(s))
         if not 0.0 <= self.price_lambda <= 1.0:
             raise ScenarioError("price_lambda must lie in [0, 1]")
-        if self.grid_n < 16:
-            raise ScenarioError("grid_n must be at least 16")
+        check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import check_marginal_budget
+from .functions import check_marginal_budget, check_size
 from .profile import (
     ProfileScenario,
     _increments,
     _margin_conditions,
     sensitivity_bounds,
 )
+
+# upper bounds of the boundary points and of each empirical grid axis
+MAX_POINTS = 10 ** 5
+MAX_REGION_AXIS = 2048
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,7 @@ def homogeneous_region(quality_range: float, demand_range: float,
     """
     if min(quality_range, demand_range, d_p) <= 0 or n_types < 1:
         raise ScenarioError("tradeoff parameters must be positive")
-    if n_points < 2:
-        raise ScenarioError("n_points must be at least 2")
+    check_size("n_points", n_points, 2, MAX_POINTS)
 
     coef_m = 4.0 * quality_range * n_types ** 2
     m0 = min(1.0, demand_range / coef_m)
@@ -103,8 +106,9 @@ def empirical_region(scenario_template: ProfileScenario,
     b_grid = np.asarray(b_grid, dtype=float)
     m_grid = np.asarray(m_grid, dtype=float)
     for name, grid in (("b_grid", b_grid), ("m_grid", m_grid)):
-        if grid.ndim != 1 or grid.size == 0:
-            raise ScenarioError(f"{name} must be a nonempty 1-D grid")
+        if grid.ndim != 1:
+            raise ScenarioError(f"{name} must be a 1-D grid")
+        check_size(f"{name} length", grid.size, 1, MAX_REGION_AXIS)
         if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
             raise ScenarioError(f"{name} must be positive and increasing")
 

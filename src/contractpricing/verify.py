@@ -18,6 +18,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 import numpy as np
 
 from .errors import ScenarioError
+from .functions import check_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .menu import MenuScenario, QualityPriceMenu
@@ -28,6 +29,11 @@ DEFAULT_SLACK = 1e-9
 
 #: tie tolerance of the simulated users' argmax choice
 CHOICE_TIE_TOL = 1e-9
+
+# upper bounds of the sizing knobs, checked before anything is allocated
+MAX_PROBES_PER_BAND = 1 << 16
+MAX_QUAD_N = 1 << 20
+MAX_SAMPLES_PER_BAND = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,7 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     k < L the savings premium over the next quality meets the gap.
     Report-valued.
     """
-    if probes_per_band < 3:
-        raise ScenarioError("probes_per_band must be at least 3")
+    check_size("probes_per_band", probes_per_band, 3, MAX_PROBES_PER_BAND)
     n = len(profile.demands)
     if n != scenario.n_qualities:
         raise ScenarioError(
@@ -272,6 +277,13 @@ class MarketSimReport:
         }
 
 
+def _savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
+             draws: np.ndarray) -> np.ndarray:
+    """Saving F(theta, s_l) - p_l of every draw (columns) at every quality (rows)."""
+    return np.stack([np.asarray(scenario.tariff.value(draws, s_l), dtype=float) - p_l
+                     for s_l, p_l in zip(scenario.qualities, profile.prices)])
+
+
 def _choices(savings: np.ndarray) -> np.ndarray:
     """Argmax over qualities with ties broken toward the lower index."""
     best = savings.max(axis=0)
@@ -290,21 +302,20 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     Sampling is deterministic in ``rng_seed``: each band uses an
     independent substream derived from the seed.
     """
-    if samples_per_band < 1:
-        raise ScenarioError("samples_per_band must be at least 1")
+    check_size("samples_per_band", samples_per_band, 1, MAX_SAMPLES_PER_BAND)
+    if rng_seed < 0:
+        raise ScenarioError("rng_seed must be nonnegative")
     n = len(profile.demands)
     s = scenario.qualities
     m = scenario.margins.m
     b = scenario.margins.b
-    F = scenario.tariff.value
 
     bands: list[BandStats] = []
     for k in range(n):
         rng = np.random.default_rng([int(rng_seed), k])
         lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
         draws = rng.uniform(lo, hi, samples_per_band)
-        savings = np.stack([np.asarray(F(draws, s_l), dtype=float) - p_l
-                            for s_l, p_l in zip(s, profile.prices)])
+        savings = _savings(profile, scenario, draws)
         chosen = _choices(savings)
         own = savings[k]
         profit = profile.prices[k] - float(scenario.cost.value(s[k]))
@@ -364,9 +375,7 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
     # clamped to the first/last entry beyond the nominal range
     assign = np.clip(np.searchsorted(profile.demands, draws, side="right") - 1,
                      0, n - 1)
-    F = scenario.tariff.value
-    savings = np.stack([np.asarray(F(draws, s_l), dtype=float) - p_l
-                        for s_l, p_l in zip(scenario.qualities, profile.prices)])
+    savings = _savings(profile, scenario, draws)
     assigned_saving = savings[assign, np.arange(n_samples)]
     return OutOfBandStats(
         samples=n_samples,
@@ -408,8 +417,7 @@ def crosscheck_windows(scenario: "ProfileScenario",
     ``rel_tol``.  Margins are ``rel_tol`` minus the observed relative
     error (negative means violated).
     """
-    if quad_n < 64:
-        raise ScenarioError("quad_n must be at least 64")
+    check_size("quad_n", quad_n, 64, MAX_QUAD_N)
     s = scenario.qualities
     m = scenario.margins.m
     gaps = scenario.margins.gaps

@@ -372,3 +372,69 @@ class TestCliPlumbing:
             capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert (tmp_path / "out" / "tradeoff.csv").exists()
+
+
+class TestCliBounds:
+    """Oversized knobs and a negative seed end in exit 2, not a traceback."""
+
+    HUGE = 10 ** 20
+
+    def solved(self, tmp_path, payload=PROFILE_CONFIG):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(["profile", config, "--out", str(out), "--quiet"]) == 0
+        return config, str(out / "profile.json"), str(out)
+
+    @pytest.mark.parametrize("command", ["check", "profile"])
+    def test_profile_grid_n_bound(self, tmp_path, capsys, command):
+        payload = dict(PROFILE_CONFIG, grid_n=self.HUGE)
+        config = write_config(tmp_path, payload)
+        assert run([command, config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        assert "grid_n" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["check", "menu"])
+    def test_menu_grid_n_bound(self, tmp_path, command):
+        config = write_config(tmp_path, dict(MENU_CONFIG, grid_n=self.HUGE))
+        assert run([command, config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+
+    def test_simulate_samples_bound(self, tmp_path):
+        config, solution, out = self.solved(tmp_path)
+        assert run(["simulate", config, solution, "--samples", str(self.HUGE),
+                    "--out", out, "--quiet"]) == 2
+
+    def test_simulate_negative_seed(self, tmp_path, capsys):
+        config, solution, out = self.solved(tmp_path)
+        assert run(["simulate", config, solution, "--seed", "-1",
+                    "--out", out, "--quiet"]) == 2
+        assert "rng_seed" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_verify_probes_bound(self, tmp_path):
+        config, solution, out = self.solved(
+            tmp_path, dict(PROFILE_CONFIG, probes=self.HUGE))
+        assert run(["verify", config, solution, "--out", out, "--quiet"]) == 2
+
+    def test_tradeoff_points_bound(self, tmp_path):
+        config = write_config(tmp_path, TRADEOFF_CONFIG)
+        assert run(["tradeoff", config, "--points", str(self.HUGE),
+                    "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+class TestCliDomains:
+    def test_box_beyond_tabulated_grid_names_box(self, tmp_path, capsys):
+        # the tariff is sampled on theta in [0.5, 1], the box starts at 1/3
+        thetas = np.linspace(0.5, 1.0, 6)
+        ss = np.linspace(1.0, 3.0, 5)
+        lines = [",".join(["0"] + [f"{s:.17g}" for s in ss])]
+        lines += [",".join([f"{t:.17g}"] + [f"{4.0 * t * s:.17g}" for s in ss])
+                  for t in thetas]
+        (tmp_path / "tariff.csv").write_text("\n".join(lines))
+        payload = dict(PROFILE_CONFIG,
+                       tariff={"family": "tabulated", "csv": "tariff.csv"})
+        config = write_config(tmp_path, payload)
+        assert run(["check", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"].startswith("box demand range")
+        assert "tariff's theta domain" in error["message"]

@@ -13,7 +13,6 @@ from contractpricing import (
     LinearFunction,
     LogFunction,
     PowerFunction,
-    ReducedAccuracyWarning,
     ScaledFunction,
     ScenarioError,
     SeparableTariff,
@@ -72,12 +71,6 @@ class TestScalarDerivatives:
         xs = np.arange(0.0, 5.0 + 1e-9, 0.01)
         f = TabulatedFunction(xs, xs ** 2)
         assert f.derivative(3.0) == pytest.approx(6.0, abs=1e-3)
-
-    def test_tabulated_boundary_warns(self):
-        xs = np.linspace(0.0, 1.0, 101)
-        f = TabulatedFunction(xs, xs ** 2)
-        with pytest.warns(ReducedAccuracyWarning):
-            f.derivative(0.0)
 
     @pytest.mark.parametrize("func", [
         LinearFunction(1.7),
@@ -251,3 +244,16 @@ class TestMarginalBudget:
         assert not check.passed
         assert check.margin == pytest.approx(1.0 / 3.0 - 1.0, abs=1e-12)
         assert check.witness == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+class TestScanBounds:
+    def test_marginal_budget_grid_n_bound(self):
+        with pytest.raises(ScenarioError, match="grid_n"):
+            check_marginal_budget(BilinearTariff(4.0), LinearFunction(1.0),
+                                  TestMarginalBudget.BOX, grid_n=10 ** 20)
+
+    def test_menu_regularity_grid_n_bound(self):
+        scn = make_log_menu_scenario()
+        with pytest.raises(ScenarioError, match="grid_n"):
+            check_menu_regularity(scn.budgets, scn.cost, scn.profit,
+                                  (0.0, 100.0), 10 ** 20)

@@ -17,6 +17,8 @@ from contractpricing import (
     NotAchievableError,
     ProfileScenario,
     ScenarioError,
+    SeparableTariff,
+    TabulatedFunction,
     TabulatedTariff,
     build_profile,
     check_achievability,
@@ -352,3 +354,28 @@ class TestMarginSpec:
         spec = MarginSpec(b=(0.1, 0.2), m=(0.02, 0.01))
         with pytest.raises(ScenarioError, match="margins.m"):
             spec.validate(2)
+
+
+class TestScenarioDomains:
+    def test_grid_n_bound(self):
+        scenario = dataclasses.replace(make_bilinear_profile_scenario(),
+                                       grid_n=10 ** 20)
+        with pytest.raises(ScenarioError, match="grid_n"):
+            build_profile(scenario)
+
+    def test_separable_tabulated_g_must_cover_box(self):
+        # g is sampled on [0.5, 0.9], the demand range is [1/3, 1]
+        thetas = np.linspace(0.5, 0.9, 9)
+        tariff = SeparableTariff(TabulatedFunction(thetas, 4.0 * thetas),
+                                 LinearFunction(1.0))
+        scenario = dataclasses.replace(make_bilinear_profile_scenario(),
+                                       tariff=tariff)
+        with pytest.raises(ScenarioError, match="demand range"):
+            build_profile(scenario)
+
+    def test_cost_domain_must_cover_quality_range(self):
+        ss = np.linspace(0.0, 2.0, 9)
+        scenario = dataclasses.replace(make_bilinear_profile_scenario(),
+                                       cost=TabulatedFunction(ss, ss))
+        with pytest.raises(ScenarioError, match="cost's domain"):
+            check_achievability(scenario)

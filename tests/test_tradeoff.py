@@ -18,6 +18,7 @@ from contractpricing import (
     empirical_region,
     homogeneous_region,
 )
+from contractpricing.tradeoff import MAX_REGION_AXIS
 from conftest import make_separable_profile_scenario
 
 
@@ -204,3 +205,20 @@ class TestEmpiricalRegion:
             empirical_region(make_template(), [0.1, 0.05], [0.01])
         with pytest.raises(ScenarioError):
             empirical_region(make_template(), [], [0.01])
+
+
+class TestSizingBounds:
+    def test_n_points_bound(self):
+        with pytest.raises(ScenarioError, match="n_points"):
+            homogeneous_region(1.0, 1.0, 3, 3.0, n_points=10 ** 20)
+
+    @pytest.mark.parametrize("axis", ["b_grid", "m_grid"])
+    def test_grid_length_bound(self, axis):
+        grids = {"b_grid": [1e-4], "m_grid": [1e-5]}
+        grids[axis] = np.linspace(1e-6, 1e-4, MAX_REGION_AXIS + 1)
+        with pytest.raises(ScenarioError, match=axis):
+            empirical_region(make_template(), **grids)
+
+    def test_template_grid_n_bound(self):
+        with pytest.raises(ScenarioError, match="grid_n"):
+            empirical_region(make_template(grid_n=10 ** 20), [1e-4], [1e-5])

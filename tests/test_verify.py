@@ -196,3 +196,30 @@ class TestCrosscheckWindows:
         profile = build_profile(bilinear_profile_scenario)
         with pytest.raises(ScenarioError):
             crosscheck_windows(bilinear_profile_scenario, profile, 32)
+
+
+class TestSizingBounds:
+    """Sizing knobs beyond their bound are rejected before any allocation."""
+
+    HUGE = 10 ** 20
+
+    def test_samples_per_band_bound(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        with pytest.raises(ScenarioError, match="samples_per_band"):
+            simulate_market(profile, bilinear_profile_scenario, self.HUGE, 0)
+
+    def test_negative_seed_rejected(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        with pytest.raises(ScenarioError, match="rng_seed"):
+            simulate_market(profile, bilinear_profile_scenario, 10, -1)
+
+    def test_probes_per_band_bound(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        with pytest.raises(ScenarioError, match="probes_per_band"):
+            verify_profile(profile, bilinear_profile_scenario,
+                           probes_per_band=self.HUGE)
+
+    def test_quad_n_bound(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        with pytest.raises(ScenarioError, match="quad_n"):
+            crosscheck_windows(bilinear_profile_scenario, profile, self.HUGE)
