@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, ContractPricingError
+from .errors import ConfigError, ContractPricingError, ScenarioError
 from .menu import QualityPriceMenu, solve_menu
 from .profile import DemandPriceProfile, build_profile, check_achievability
 from .serialize import dumps_canonical, format_float, write_csv, write_json
@@ -140,8 +141,8 @@ def _print_table(args, header: list[str], rows: list[list]) -> None:
         return
     cells = [[h for h in header]]
     for row in rows:
-        cells.append([format_float(v) if isinstance(v, float) else str(v)
-                      for v in row])
+        cells.append([format_float(v) if isinstance(v, float) and math.isfinite(v)
+                      else str(v) for v in row])
     widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
     for r, row in enumerate(cells):
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
@@ -253,8 +254,11 @@ def _cmd_tradeoff(args) -> int:
     summary = curve.to_dict()
     if params.empirical is not None:
         grid = params.empirical
-        matrix = empirical_region(grid.template, grid.b_grid, grid.m_grid)
         norm = 4.0 * grid.template.box.quality_range * len(grid.template.qualities) ** 2
+        if not math.isfinite(norm * max(grid.m_grid)):
+            raise ScenarioError("empirical: normalized margin "
+                                "4 * quality_range * L^2 * m is not finite")
+        matrix = empirical_region(grid.template, grid.b_grid, grid.m_grid)
         for i, b in enumerate(grid.b_grid):
             for j, m in enumerate(grid.m_grid):
                 rows.append((m, b, norm * m, bool(matrix[i, j])))

@@ -1,11 +1,18 @@
 """Scenario configuration files: strict parsing and resolution.
 
 Configs are JSON documents with a ``mode`` of ``menu``, ``profile`` or
-``tradeoff``.  Parsing is strict: unknown keys are rejected, every
-numeric must be finite, and the error message carries the offending
-field path.  Defaults (price_lambda 0.5, grid_n 512, probes 9,
-quad_n 256) are filled into a resolved dictionary whose canonical hash
-is embedded in solution files so that later verification can detect
+``tradeoff``.  This module only parses: it rejects unknown keys, wrong
+JSON types and non-finite numbers, reads the referenced CSV files and
+names the field path in every error.  The function constructors and
+:class:`MenuScenario` / :class:`ProfileScenario` own every value rule
+and the scenario defaults (price_lambda 0.5, grid_n 512, s_search_max
+1e6, s_probe_max 100); their messages appear behind the field path, as
+in ``cost: linear slope must be nonnegative``.  Only the run-time knobs
+keep defaults and range checks here (probes 9, quad_n 256, seed 42,
+samples_per_band 1000, points 50).  ``quad_n`` is hashed but no command
+reads it; dropping it would change the hash of every stored profile
+solution.  The resolved dictionary, defaults filled in, has a canonical
+hash that solution files embed so that verification can detect
 configuration drift.
 
 Function declarations::
@@ -51,18 +58,22 @@ from .menu import MenuScenario
 from .profile import MarginSpec, ProfileScenario
 from .serialize import scenario_hash
 
+#: defaults of the run-time knobs; the scenario dataclasses own the rest
 DEFAULTS = {
-    "price_lambda": 0.5,
-    "grid_n": 512,
     "probes": 9,
     "quad_n": 256,
-    "s_search_max": 1e6,
-    "s_probe_max": 100.0,
     "seed": 42,
     "samples_per_band": 1000,
     "points": 50,
 }
 
+#: closed-form families: constructor and argument names (= config keys)
+_CLOSED_FORMS = {
+    "linear": (LinearFunction, ("slope",)),
+    "log": (LogFunction, ("scale",)),
+    "power": (PowerFunction, ("scale", "exponent")),
+    "bilinear": (BilinearTariff, ("d_p",)),
+}
 _SCALAR_FAMILIES = ("linear", "log", "power", "scaled", "tabulated")
 _TARIFF_FAMILIES = ("bilinear", "separable", "tabulated")
 
@@ -85,8 +96,7 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _number(value, path: str, *, positive: bool = False,
-            nonnegative: bool = False) -> float:
+def _number(value, path: str, *, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     try:
@@ -97,8 +107,6 @@ def _number(value, path: str, *, positive: bool = False,
         raise ConfigError(f"{path}: must be finite")
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be positive")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{path}: must be nonnegative")
     return value
 
 
@@ -117,25 +125,50 @@ def _number_list(value, path: str, *, positive: bool = False) -> list[float]:
             for i, v in enumerate(value)]
 
 
-def _validated(prefix: str, validate, *args):
+def _given(raw: dict, path_prefix: str, parsers: dict) -> dict:
+    """Parse the optional keys present in ``raw``; the dataclass they are
+    passed to supplies the defaults of the absent ones."""
+    return {key: parse(raw[key], f"{path_prefix}{key}")
+            for key, parse in parsers.items() if key in raw}
+
+
+def _validated(prefix: str, validate, *args, **kwargs):
     """Call a validator or constructor, prefixing its error with the field path."""
     try:
-        return validate(*args)
+        return validate(*args, **kwargs)
     except ScenarioError as exc:
         raise ScenarioError(f"{prefix}{exc}") from None
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _family(decl: dict, path: str, families: tuple) -> str:
+    family = _require(decl, "family", path)
+    if not isinstance(family, str) or family not in families:
+        raise ConfigError(f"{path}.family: unknown family '{family}'")
+    return family
 
 
-def _resolve_csv(name: str, path: str, base_dir: Path) -> Path:
+def _closed_form(decl: dict, family: str, path: str):
+    ctor, names = _CLOSED_FORMS[family]
+    _reject_unknown(decl, {"family", *names}, path)
+    args = {name: _number(_require(decl, name, path), f"{path}.{name}")
+            for name in names}
+    return _validated(f"{path}: ", ctor, **args), {"family": family, **args}
+
+
+def _csv_source(decl: dict, path: str, base_dir: Path) -> tuple[Path, dict]:
+    """Locate a tabulated declaration's CSV file; also return the resolved
+    declaration, which embeds the data digest."""
+    _reject_unknown(decl, {"family", "csv"}, path)
+    name = _require(decl, "csv", path)
+    if not isinstance(name, str):
+        raise ConfigError(f"{path}.csv: expected a string")
     csv_path = Path(name)
     if not csv_path.is_absolute():
         csv_path = base_dir / csv_path
     if not csv_path.is_file():
         raise ConfigError(f"{path}.csv: file not found: {csv_path}")
-    return csv_path
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    return csv_path, {"family": "tabulated", "csv": name, "data_sha256": digest}
 
 
 def parse_scalar_function(decl, path: str, base_dir: Path
@@ -146,57 +179,33 @@ def parse_scalar_function(decl, path: str, base_dir: Path
     for hashing (tabulated declarations embed the data digest).
     """
     decl = _expect_dict(decl, path)
-    family = _require(decl, "family", path)
-    if family == "linear":
-        _reject_unknown(decl, {"family", "slope"}, path)
-        slope = _number(_require(decl, "slope", path), f"{path}.slope",
-                        nonnegative=True)
-        return LinearFunction(slope), {"family": "linear", "slope": slope}
-    if family == "log":
-        _reject_unknown(decl, {"family", "scale"}, path)
-        scale = _number(_require(decl, "scale", path), f"{path}.scale",
-                        nonnegative=True)
-        return LogFunction(scale), {"family": "log", "scale": scale}
-    if family == "power":
-        _reject_unknown(decl, {"family", "scale", "exponent"}, path)
-        scale = _number(_require(decl, "scale", path), f"{path}.scale",
-                        nonnegative=True)
-        exponent = _number(_require(decl, "exponent", path),
-                           f"{path}.exponent", positive=True)
-        return (PowerFunction(scale, exponent),
-                {"family": "power", "scale": scale, "exponent": exponent})
+    family = _family(decl, path, _SCALAR_FAMILIES)
+    if family in _CLOSED_FORMS:
+        return _closed_form(decl, family, path)
     if family == "scaled":
         _reject_unknown(decl, {"family", "base", "factor"}, path)
         base, base_resolved = parse_scalar_function(
             _require(decl, "base", path), f"{path}.base", base_dir)
-        factor = _number(_require(decl, "factor", path), f"{path}.factor",
-                         nonnegative=True)
-        return (ScaledFunction(base, factor),
+        factor = _number(_require(decl, "factor", path), f"{path}.factor")
+        return (_validated(f"{path}: ", ScaledFunction, base, factor),
                 {"family": "scaled", "base": base_resolved, "factor": factor})
-    if family == "tabulated":
-        _reject_unknown(decl, {"family", "csv"}, path)
-        name = _require(decl, "csv", path)
-        csv_path = _resolve_csv(name, path, base_dir)
-        try:
-            data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.csv: cannot parse {csv_path}: {exc}") from None
-        if data.shape[1] != 2:
-            raise ConfigError(f"{path}.csv: expected two columns (coordinate, value)")
-        func = _validated(f"{path}.csv: ", TabulatedFunction, data[:, 0], data[:, 1])
-        return func, {"family": "tabulated", "csv": str(name),
-                      "data_sha256": _file_sha256(csv_path)}
-    raise ConfigError(f"{path}.family: unknown family '{family}'")
+    csv_path, resolved = _csv_source(decl, path, base_dir)
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.csv: cannot parse {csv_path}: {exc}") from None
+    if data.shape[1] != 2:
+        raise ConfigError(f"{path}.csv: expected two columns (coordinate, value)")
+    return (_validated(f"{path}.csv: ", TabulatedFunction, data[:, 0], data[:, 1]),
+            resolved)
 
 
 def parse_tariff_function(decl, path: str, base_dir: Path
                           ) -> tuple[TariffFunction, dict]:
     decl = _expect_dict(decl, path)
-    family = _require(decl, "family", path)
-    if family == "bilinear":
-        _reject_unknown(decl, {"family", "d_p"}, path)
-        d_p = _number(_require(decl, "d_p", path), f"{path}.d_p", positive=True)
-        return BilinearTariff(d_p), {"family": "bilinear", "d_p": d_p}
+    family = _family(decl, path, _TARIFF_FAMILIES)
+    if family in _CLOSED_FORMS:
+        return _closed_form(decl, family, path)
     if family == "separable":
         _reject_unknown(decl, {"family", "g", "h"}, path)
         g, g_res = parse_scalar_function(_require(decl, "g", path),
@@ -205,19 +214,14 @@ def parse_tariff_function(decl, path: str, base_dir: Path
                                          f"{path}.h", base_dir)
         return (SeparableTariff(g, h),
                 {"family": "separable", "g": g_res, "h": h_res})
-    if family == "tabulated":
-        _reject_unknown(decl, {"family", "csv"}, path)
-        name = _require(decl, "csv", path)
-        csv_path = _resolve_csv(name, path, base_dir)
-        raw = np.genfromtxt(csv_path, delimiter=",")
-        if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
-            raise ConfigError(
-                f"{path}.csv: expected a matrix with demand rows and quality columns")
-        return (_validated(f"{path}.csv: ", TabulatedTariff,
-                           raw[1:, 0], raw[0, 1:], raw[1:, 1:]),
-                {"family": "tabulated", "csv": str(name),
-                 "data_sha256": _file_sha256(csv_path)})
-    raise ConfigError(f"{path}.family: unknown family '{family}'")
+    csv_path, resolved = _csv_source(decl, path, base_dir)
+    raw = np.genfromtxt(csv_path, delimiter=",")
+    if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
+        raise ConfigError(
+            f"{path}.csv: expected a matrix with demand rows and quality columns")
+    return (_validated(f"{path}.csv: ", TabulatedTariff,
+                       raw[1:, 0], raw[0, 1:], raw[1:, 1:]),
+            resolved)
 
 
 @dataclass
@@ -278,9 +282,7 @@ def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
     _reject_unknown(box, {"theta_low", "theta_up", "s_low", "s_up"}, path)
     values = {key: _number(_require(box, key, path), f"{path}.{key}")
               for key in ("theta_low", "theta_up", "s_low", "s_up")}
-    domain = DomainBox(**values)
-    _validated(f"{path}: ", domain.validate)
-    return domain, values
+    return DomainBox(**values), values
 
 
 def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
@@ -294,7 +296,7 @@ def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
     return MarginSpec(**{key: tuple(v) for key, v in resolved.items()}), resolved
 
 
-def _parse_menu(raw: dict, base_dir: Path) -> tuple[MenuScenario, dict]:
+def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "budgets", "cost", "profit", "s_search_max",
                           "s_probe_max", "grid_n", "output"}, "config")
     budgets_raw = _require(raw, "budgets", "config")
@@ -309,31 +311,26 @@ def _parse_menu(raw: dict, base_dir: Path) -> tuple[MenuScenario, dict]:
                                            "cost", base_dir)
     profit, profit_res = parse_scalar_function(_require(raw, "profit", "config"),
                                                "profit", base_dir)
-    s_search_max = _number(raw.get("s_search_max", DEFAULTS["s_search_max"]),
-                           "s_search_max", positive=True)
-    s_probe_max = _number(raw.get("s_probe_max", DEFAULTS["s_probe_max"]),
-                          "s_probe_max", positive=True)
-    grid_n = _integer(raw.get("grid_n", DEFAULTS["grid_n"]), "grid_n", minimum=16)
-    scenario = MenuScenario(tuple(budgets), cost, profit,
-                            s_search_max=s_search_max,
-                            s_probe_max=s_probe_max, grid_n=grid_n)
-    resolved = {
+    scenario = MenuScenario(tuple(budgets), cost, profit, **_given(
+        raw, "", {"s_search_max": _number, "s_probe_max": _number,
+                  "grid_n": _integer}))
+    scenario.validate()
+    return {
         "mode": "menu",
         "budgets": budgets_res,
         "cost": cost_res,
         "profit": profit_res,
-        "s_search_max": s_search_max,
-        "s_probe_max": s_probe_max,
-        "grid_n": grid_n,
-    }
-    return scenario, resolved
+        "s_search_max": scenario.s_search_max,
+        "s_probe_max": scenario.s_probe_max,
+        "grid_n": scenario.grid_n,
+    }, {"menu": scenario}
 
 
 def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
                         require_margins: bool = True
                         ) -> tuple[ProfileScenario, dict]:
     qualities = _number_list(_require(raw, "qualities", path_prefix or "config"),
-                             f"{path_prefix}qualities", positive=True)
+                             f"{path_prefix}qualities")
     tariff, tariff_res = parse_tariff_function(
         _require(raw, "tariff", path_prefix or "config"),
         f"{path_prefix}tariff", base_dir)
@@ -351,12 +348,10 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
         margins = MarginSpec(b=tuple(0.1 * s for s in qualities),
                              m=tuple(0.01 * s for s in qualities))
         margins_res = {"b": list(margins.b), "m": list(margins.m)}
-    price_lambda = _number(raw.get("price_lambda", DEFAULTS["price_lambda"]),
-                           f"{path_prefix}price_lambda")
-    grid_n = _integer(raw.get("grid_n", DEFAULTS["grid_n"]),
-                      f"{path_prefix}grid_n", minimum=16)
     scenario = ProfileScenario(tuple(qualities), tariff, cost, box, margins,
-                               price_lambda=price_lambda, grid_n=grid_n)
+                               **_given(raw, path_prefix,
+                                        {"price_lambda": _number,
+                                         "grid_n": _integer}))
     # the scenario owns its rules; its errors already name the field
     _validated(path_prefix, scenario.validate)
     resolved = {
@@ -366,29 +361,26 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
         "cost": cost_res,
         "box": box_res,
         "margins": margins_res,
-        "price_lambda": price_lambda,
-        "grid_n": grid_n,
+        "price_lambda": scenario.price_lambda,
+        "grid_n": scenario.grid_n,
     }
     return scenario, resolved
 
 
-def _parse_profile(raw: dict, base_dir: Path):
+def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "qualities", "tariff", "cost", "box",
                           "margins", "price_lambda", "grid_n", "probes",
                           "quad_n", "seed", "samples_per_band", "output"},
                     "config")
     scenario, resolved = _parse_profile_core(raw, "", base_dir)
-    probes = _integer(raw.get("probes", DEFAULTS["probes"]), "probes", minimum=3)
-    quad_n = _integer(raw.get("quad_n", DEFAULTS["quad_n"]), "quad_n", minimum=64)
-    seed = _integer(raw.get("seed", DEFAULTS["seed"]), "seed", minimum=0)
-    samples = _integer(raw.get("samples_per_band", DEFAULTS["samples_per_band"]),
-                       "samples_per_band", minimum=1)
-    resolved.update({"probes": probes, "quad_n": quad_n, "seed": seed,
-                     "samples_per_band": samples})
-    return scenario, resolved, probes, quad_n, seed, samples
+    knobs = {key: _integer(raw.get(key, DEFAULTS[key]), key, minimum=lowest)
+             for key, lowest in (("probes", 3), ("quad_n", 64), ("seed", 0),
+                                 ("samples_per_band", 1))}
+    resolved.update(knobs)
+    return resolved, {"profile": scenario, **knobs}
 
 
-def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[TradeoffParams, dict]:
+def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "delta_s", "delta_theta", "types", "d_p",
                           "points", "empirical", "output"}, "config")
     quality_range = _number(_require(raw, "delta_s", "config"), "delta_s",
@@ -424,15 +416,18 @@ def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[TradeoffParams, dict]:
         empirical = EmpiricalGrid(template, tuple(b_grid), tuple(m_grid))
         resolved["empirical"] = {"b_grid": b_grid, "m_grid": m_grid,
                                  "scenario": template_res}
-    return TradeoffParams(quality_range, demand_range, n_types, d_p, points,
-                          empirical), resolved
+    return resolved, {"tradeoff": TradeoffParams(
+        quality_range, demand_range, n_types, d_p, points, empirical)}
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
     """Parse and resolve a scenario configuration file.
 
     Raises :class:`ConfigError` with the offending field path on any
-    malformed content; fills documented defaults otherwise.
+    malformed content, and the :class:`ScenarioError` of the scenario or
+    function whose rule a value breaks, prefixed with the field path.
+    The resolved form carries every default, read back from the built
+    scenario.
     """
     path = Path(path)
     if not path.is_file():
@@ -445,17 +440,10 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     mode = _require(raw, "mode", "config")
     if mode not in ("menu", "profile", "tradeoff"):
         raise ConfigError(f"mode: expected menu, profile or tradeoff, got '{mode}'")
-    base_dir = path.parent
     out_dir, out_format = _parse_output(raw, "")
-    config = ScenarioConfig(mode=mode, source=path, resolved={},
-                            out_dir=out_dir, out_format=out_format)
-    raw = {k: v for k, v in raw.items() if k != "output"}
-
-    if mode == "menu":
-        config.menu, config.resolved = _parse_menu(raw, base_dir)
-    elif mode == "profile":
-        (config.profile, config.resolved, config.probes, config.quad_n,
-         config.seed, config.samples_per_band) = _parse_profile(raw, base_dir)
-    else:
-        config.tradeoff, config.resolved = _parse_tradeoff(raw, base_dir)
-    return config
+    parse = {"menu": _parse_menu, "profile": _parse_profile,
+             "tradeoff": _parse_tradeoff}[mode]
+    resolved, parsed = parse({k: v for k, v in raw.items() if k != "output"},
+                             path.parent)
+    return ScenarioConfig(mode=mode, source=path, resolved=resolved,
+                          out_dir=out_dir, out_format=out_format, **parsed)

@@ -407,9 +407,9 @@ class DomainBox:
         # a zero-width demand range is tolerated here; the achievability
         # predicate reports it as a failing demand-range condition
         if not (0 < self.theta_low <= self.theta_up):
-            raise ScenarioError("demand bounds must satisfy 0 < theta_low <= theta_up")
+            raise ScenarioError("box: demand bounds must satisfy 0 < theta_low <= theta_up")
         if not (0 < self.s_low < self.s_up):
-            raise ScenarioError("quality bounds must satisfy 0 < s_low < s_up")
+            raise ScenarioError("box: quality bounds must satisfy 0 < s_low < s_up")
 
     @property
     def demand_range(self) -> float:
@@ -438,7 +438,7 @@ class ConditionCheck:
         return {
             "id": self.cid,
             "passed": self.passed,
-            "margin": self.margin,
+            "margin": self.margin if math.isfinite(self.margin) else None,
             "witness": self.witness,
             "detail": self.detail,
         }

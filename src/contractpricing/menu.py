@@ -29,7 +29,8 @@ from .errors import (
     ScenarioError,
     UnboundedFeasibleSetError,
 )
-from .functions import MAX_GRID_N, ScalarFunction, check_menu_regularity, check_size
+from .functions import (DEFAULT_GRID_N, MAX_GRID_N, ScalarFunction,
+                        check_menu_regularity, check_size)
 from .verify import verify_menu
 
 #: relative bracket width at which the maximizer bisection stops
@@ -54,7 +55,7 @@ class MenuScenario:
     profit: ScalarFunction
     s_search_max: float = 1e6
     s_probe_max: float = 100.0
-    grid_n: int = 512
+    grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(self.budgets))

@@ -30,6 +30,7 @@ from .errors import (
     ScenarioError,
 )
 from .functions import (
+    DEFAULT_GRID_N,
     MAX_GRID_N,
     ConditionCheck,
     ConditionReport,
@@ -99,7 +100,7 @@ class ProfileScenario:
     box: DomainBox
     margins: MarginSpec
     price_lambda: float = 0.5
-    grid_n: int = 512
+    grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         object.__setattr__(self, "qualities", tuple(float(s) for s in self.qualities))
@@ -112,6 +113,8 @@ class ProfileScenario:
         s, box = self.qualities, self.box
         if len(s) < 1:
             raise ScenarioError("at least one quality is required")
+        if min(s) <= 0:
+            raise ScenarioError("qualities must be positive")
         if any(x >= y for x, y in zip(s, s[1:])):
             raise ScenarioError("qualities must be strictly increasing")
         box.validate()

@@ -79,11 +79,19 @@ def homogeneous_region(quality_range: float, demand_range: float,
         raise ScenarioError("tradeoff parameters must be positive")
     check_size("n_points", n_points, 2, MAX_POINTS)
 
-    coef_m = 4.0 * quality_range * n_types ** 2
+    try:
+        n = float(n_types)
+    except OverflowError:  # beyond the float range: the boundary is not finite
+        n = np.inf
+    coef_m = 4.0 * quality_range * (n * n)
     m0 = min(1.0, demand_range / coef_m)
-    b0 = demand_range * d_p / n_types
+    b0 = demand_range * d_p / n
     ms = np.linspace(m0, 0.0, n_points)
-    bs = (demand_range - coef_m * ms) * d_p / n_types
+    with np.errstate(over="ignore", invalid="ignore"):
+        bs = (demand_range - coef_m * ms) * d_p / n
+    if not np.isfinite(np.r_[coef_m, m0, b0, bs]).all():
+        raise ScenarioError("tradeoff boundary is not finite; "
+                            "delta_s, delta_theta, types or d_p is too large")
     points = tuple((float(m), float(b)) for m, b in zip(ms, bs))
     return TradeoffCurve(quality_range, demand_range, n_types, d_p,
                          points, float(m0), float(b0))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,33 @@ TRADEOFF_CONFIG = {
     "types": 3,
     "d_p": 3.0,
 }
+
+
+#: scenario hashes of the demo configs; a drift would orphan every stored
+#: solution of these scenarios
+DEMO_HASHES = {
+    "menu_log_budget.json":
+        "e66e0a41370abd72e1039fb85f24c4fb0e89ae2b390567e97858c9b72c952cce",
+    "profile_bilinear.json":
+        "71e182cc777de52e7b7f6f876f26a303f90560dd365d6e7f5c123eb062373089",
+    "profile_separable.json":
+        "3c2811150e9b61bfc96dadbaf93d312bf49ca70c147e7ee30d7bae616cb1e4bc",
+    "tradeoff_homogeneous.json":
+        "85a76ed78ff07f0650c6691863d634702e5e460d5956ff39b0ad3e2da7110c48",
+}
+
+
+def edited(base, changes):
+    """Deep copy of ``base`` with each dotted path ("margins.m.2") set."""
+    payload = json.loads(json.dumps(base))
+    for dotted, value in changes.items():
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in dotted.split(".")]
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return payload
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -132,6 +160,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="strictly increasing"):
             load_config(write_config(tmp_path, payload))
 
+    def test_csv_name_must_be_a_string(self, tmp_path):
+        payload = json.loads(json.dumps(MENU_CONFIG))
+        payload["budgets"][0] = {"family": "tabulated", "csv": 5}
+        with pytest.raises(ConfigError,
+                           match=r"budgets\[0\].csv: expected a string"):
+            load_config(write_config(tmp_path, payload))
+
     def test_missing_csv(self, tmp_path):
         payload = json.loads(json.dumps(MENU_CONFIG))
         payload["budgets"][0] = {"family": "tabulated", "csv": "nope.csv"}
@@ -149,6 +184,73 @@ class TestLoadConfig:
         payload["cost"]["slope"] = 2.0
         c = load_config(write_config(tmp_path, payload, "c.json"))
         assert c.hash != a.hash
+
+
+    @pytest.mark.parametrize("name", sorted(DEMO_HASHES))
+    def test_demo_scenario_hash_pinned(self, name):
+        demos = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+        assert load_config(demos / name).hash == DEMO_HASHES[name]
+
+
+class TestRuleOwners:
+    """Each value rule has one owner, a constructor or a scenario
+    validator; loading still fails (exit 2) with the field path in front
+    of the owner's message."""
+
+    CASES = {
+        "negative_slope": (MENU_CONFIG, {"cost.slope": -1.0},
+                           "cost: linear slope must be nonnegative"),
+        "negative_scale": (MENU_CONFIG, {"budgets.0.base.scale": -1.0},
+                           r"budgets\[0\]\.base: log scale must be nonnegative"),
+        "negative_factor": (MENU_CONFIG, {"profit.factor": -0.1},
+                            "profit: scale factor must be nonnegative"),
+        "zero_exponent": (PROFILE_CONFIG,
+                          {"cost": {"family": "power", "scale": 1.0,
+                                    "exponent": 0}},
+                          "cost: power exponent must be positive"),
+        "zero_d_p": (PROFILE_CONFIG, {"tariff.d_p": 0},
+                     "tariff: bilinear slope d_p must be positive"),
+        "zero_quality": (PROFILE_CONFIG, {"qualities.0": 0.0},
+                         "qualities must be positive"),
+        "profile_grid_n": (PROFILE_CONFIG, {"grid_n": 8},
+                           "grid_n must be at least 16"),
+        "menu_grid_n": (MENU_CONFIG, {"grid_n": 8},
+                        "grid_n must be at least 16"),
+        "probe_beyond_search": (MENU_CONFIG,
+                                {"s_search_max": 50, "s_probe_max": 100},
+                                r"s_probe_max must lie in \(0, s_search_max\]"),
+        "list_family": (MENU_CONFIG, {"cost.family": ["linear"]},
+                        r"cost\.family: unknown family"),
+        "object_family": (PROFILE_CONFIG, {"tariff.family": {"bilinear": 1}},
+                          r"tariff\.family: unknown family"),
+        "box_order": (PROFILE_CONFIG, {"box.s_up": 0.5},
+                      "box: quality bounds must satisfy"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_check_rejects_at_load(self, tmp_path, capsys, case):
+        base, changes, message = self.CASES[case]
+        config = write_config(tmp_path, edited(base, changes))
+        assert run(["check", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert re.match(message, error["message"]), error["message"]
+        assert not (tmp_path / "o" / "check.json").exists()
+
+    def test_template_rule_names_template_path(self, tmp_path):
+        payload = dict(TRADEOFF_CONFIG, empirical={
+            "b_grid": [0.05], "m_grid": [0.002],
+            "scenario": edited(PROFILE_CONFIG, {"grid_n": 8, "cost.slope": -1.0}),
+        })
+        del payload["empirical"]["scenario"]["mode"]
+        del payload["empirical"]["scenario"]["margins"]
+        with pytest.raises(ConfigError,
+                           match="empirical.scenario.cost: linear slope"):
+            load_config(write_config(tmp_path, payload))
+        payload["empirical"]["scenario"]["cost"]["slope"] = 1.0
+        with pytest.raises(ConfigError,
+                           match="empirical.scenario.grid_n must be at least 16"):
+            load_config(write_config(tmp_path, payload))
 
 
 class TestCliMenu:
@@ -318,6 +420,53 @@ class TestCliTradeoffCheck:
         report = json.loads((out / "check.json").read_text())
         failing = [c["id"] for c in report["checks"] if not c["passed"]]
         assert failing == ["demand_range"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("quiet", [True, False])
+    @pytest.mark.parametrize("base, changes", [
+        (MENU_CONFIG, {"cost.slope": 1e308}),
+        (PROFILE_CONFIG, {"margins.m.2": 1e308}),
+        (PROFILE_CONFIG, {"tariff.d_p": 1e308}),
+    ], ids=["menu_cost_slope", "profile_margin", "profile_d_p"])
+    def test_check_overflowed_margin_is_null(self, tmp_path, capsys, base,
+                                             changes, quiet):
+        config = write_config(tmp_path, edited(base, changes))
+        out = tmp_path / "out"
+        code = run(["check", config, "--out", str(out)] + ["--quiet"] * quiet)
+        report = json.loads((out / "check.json").read_text())
+        assert code == (0 if report["passed"] else 3)
+        assert any(c["margin"] is None for c in report["checks"])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("changes", [{"types": 10 ** 200},
+                                         {"delta_theta": 1e308}],
+                             ids=["types", "delta_theta"])
+    def test_tradeoff_overflowing_boundary_exit_2(self, tmp_path, capsys,
+                                                   changes):
+        config = write_config(tmp_path, edited(TRADEOFF_CONFIG, changes))
+        out = tmp_path / "out"
+        assert run(["tradeoff", config, "--out", str(out), "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert "not finite" in error["message"]
+        assert not (out / "tradeoff.json").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"empirical.m_grid.1": 1e308},
+        {"empirical.scenario.box.s_up": 1e308},
+    ], ids=["m_grid", "box"])
+    def test_tradeoff_overflowing_normalized_margin_exit_2(self, tmp_path,
+                                                           capsys, changes):
+        payload = dict(TRADEOFF_CONFIG, empirical={
+            "b_grid": [0.05], "m_grid": [0.002, 0.01],
+            "scenario": {key: PROFILE_CONFIG[key] for key in
+                         ("qualities", "tariff", "cost", "box")}})
+        config = write_config(tmp_path, edited(payload, changes))
+        assert run(["tradeoff", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"].startswith("empirical: normalized margin")
 
     def test_check_profile_passes(self, tmp_path):
         config = write_config(tmp_path, PROFILE_CONFIG)
