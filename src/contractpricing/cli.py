@@ -11,12 +11,16 @@ Subcommands::
 
 Exit codes: 0 success/certified, 2 config or parse error, 3 constraint
 violation or not achievable, 4 numerical failure (bracket or window
-errors).  Errors are additionally emitted as a JSON object on stderr.
+errors).  On an error exit, stderr holds exactly one JSON object naming
+the error class, its exit code and its message; commands run with
+Python warnings (numpy overflow and the like) suppressed so that
+nothing else reaches stderr.
 
 Artifacts are written to ``--out`` (default: the ``CONTRACTPRICING_OUT``
-environment variable, the config's ``output.dir``, or the working
-directory).  Solution JSON embeds the scenario hash so that ``verify``
-and ``simulate`` can detect configuration drift.  Because solution files
+environment variable, else the working directory) in the formats chosen
+by ``--format`` (default: both JSON and CSV).  Solution JSON embeds the
+scenario hash so that ``verify`` and ``simulate`` can detect
+configuration drift.  Because solution files
 round floats to 9 significant digits, re-certification of a stored
 solution uses a matching slack of 1e-6 instead of the solver-side 1e-9.
 """
@@ -28,6 +32,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -56,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="output directory for emitted artifacts")
         p.add_argument("--format", choices=("json", "csv", "both"),
-                       help="artifact formats to write (default: both)")
+                       default="both", help="artifact formats to write")
         p.add_argument("--quiet", action="store_true",
                        help="suppress human-readable tables on stdout")
 
@@ -91,16 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args, config: ScenarioConfig) -> Path:
-    target = args.out or os.environ.get(OUT_ENV_VAR) or config.out_dir or "."
-    path = Path(target)
+def _out_dir(args) -> Path:
+    path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _formats(args, config: ScenarioConfig) -> set[str]:
-    choice = args.format or config.out_format or "both"
-    return {"json", "csv"} if choice == "both" else {choice}
+def _formats(args) -> set[str]:
+    return {"json", "csv"} if args.format == "both" else {args.format}
 
 
 def _say(args, text: str) -> None:
@@ -120,7 +123,7 @@ def _load_solution(path: str, config: ScenarioConfig) -> dict:
         raise ConfigError(f"solution file not found: {solution_path}")
     try:
         data = json.loads(solution_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed solution JSON: {exc}") from None
     if not isinstance(data, dict) or "mode" not in data:
         raise ConfigError("solution file lacks a mode field")
@@ -154,8 +157,8 @@ def _cmd_menu(args) -> int:
     config = load_config(args.config)
     _require_mode(config, "menu", "menu")
     menu = solve_menu(config.menu)
-    out = _out_dir(args, config)
-    formats = _formats(args, config)
+    out = _out_dir(args)
+    formats = _formats(args)
     solution = {"mode": "menu", "scenario_sha256": config.hash,
                 **menu.to_dict()}
     if "json" in formats:
@@ -177,8 +180,8 @@ def _cmd_profile(args) -> int:
     config = load_config(args.config)
     _require_mode(config, "profile", "profile")
     profile = build_profile(config.profile)
-    out = _out_dir(args, config)
-    formats = _formats(args, config)
+    out = _out_dir(args)
+    formats = _formats(args)
     solution = {"mode": "profile", "scenario_sha256": config.hash,
                 **profile.to_dict()}
     if "json" in formats:
@@ -208,7 +211,7 @@ def _cmd_verify(args) -> int:
                                 slack=SERIALIZED_SLACK)
     else:
         raise ConfigError("'verify' needs a menu or profile config")
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     write_json(out / "verification.json", report.to_dict())
     if report.passed:
         _say(args, f"solution certified; worst margin "
@@ -229,7 +232,7 @@ def _cmd_simulate(args) -> int:
     samples = args.samples if args.samples is not None else config.samples_per_band
     seed = args.seed if args.seed is not None else config.seed
     report = simulate_market(profile, config.profile, samples, seed)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     write_json(out / "simulation.json", report.to_dict())
     _print_table(args,
                  ["k", "fraction_intended", "min_saving", "provider_profit",
@@ -267,8 +270,8 @@ def _cmd_tradeoff(args) -> int:
             "m_grid": list(grid.m_grid),
             "achievable": matrix.tolist(),
         }
-    out = _out_dir(args, config)
-    formats = _formats(args, config)
+    out = _out_dir(args)
+    formats = _formats(args)
     if "json" in formats:
         write_json(out / "tradeoff.json", summary)
     if "csv" in formats:
@@ -287,7 +290,7 @@ def _cmd_check(args) -> int:
         report = check_achievability(config.profile)
     else:
         raise ConfigError("'check' needs a menu or profile config")
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     write_json(out / "check.json", {"mode": config.mode, **report.to_dict()})
     _print_table(args, ["condition", "passed", "margin"],
                  [[c.cid, c.passed, c.margin] for c in report.checks])
@@ -317,7 +320,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return _HANDLERS[args.command](args)
     except ContractPricingError as exc:
         error = {"error": {"type": type(exc).__name__,
                            "exit_code": exc.exit_code,

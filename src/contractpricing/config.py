@@ -2,12 +2,13 @@
 
 Configs are JSON documents with a ``mode`` of ``menu``, ``profile`` or
 ``tradeoff``.  This module only parses: it rejects unknown keys, wrong
-JSON types and non-finite numbers, reads the referenced CSV files and
-names the field path in every error.  The function constructors and
-:class:`MenuScenario` / :class:`ProfileScenario` own every value rule
-and the scenario defaults (price_lambda 0.5, grid_n 512, s_search_max
-1e6, s_probe_max 100); their messages appear behind the field path, as
-in ``cost: linear slope must be nonnegative``.  Only the run-time knobs
+JSON types, non-finite numbers and nesting deeper than ``MAX_NESTING``,
+reads the referenced CSV files and names the field path in every
+error.  The function constructors and :class:`MenuScenario` /
+:class:`ProfileScenario` own every value rule and the scenario defaults
+(price_lambda 0.5, grid_n 512, s_search_max 1e6, s_probe_max 100);
+their messages appear behind the field path, as in
+``cost: linear slope must be nonnegative``.  Only the run-time knobs
 keep defaults and range checks here (probes 9, quad_n 256, seed 42,
 samples_per_band 1000, points 50).  ``quad_n`` is hashed but no command
 reads it; dropping it would change the hash of every stored profile
@@ -74,8 +75,28 @@ _CLOSED_FORMS = {
     "power": (PowerFunction, ("scale", "exponent")),
     "bilinear": (BilinearTariff, ("d_p",)),
 }
+#: deepest nesting of objects and lists in a config; the parsers and
+#: ScaledFunction recurse once per level, the demo configs need 4
+MAX_NESTING = 32
+
 _SCALAR_FAMILIES = ("linear", "log", "power", "scaled", "tabulated")
 _TARIFF_FAMILIES = ("bilinear", "separable", "tabulated")
+
+
+def _check_nesting(value, path: str, depth: int = 0) -> None:
+    """Reject objects and lists nested deeper than ``MAX_NESTING``, before
+    any parser recurses into them."""
+    if isinstance(value, dict):
+        children = [(f"{path}.{key}" if path else key, item)
+                    for key, item in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return
+    if depth > MAX_NESTING:
+        raise ConfigError(f"{path}: nested deeper than {MAX_NESTING} levels")
+    for child, item in children:
+        _check_nesting(item, child, depth + 1)
 
 
 def _expect_dict(value, path: str) -> dict:
@@ -246,7 +267,6 @@ class ScenarioConfig:
     """A parsed configuration plus its resolved, hashable form."""
 
     mode: str
-    source: Path
     resolved: dict
     menu: Optional[MenuScenario] = None
     profile: Optional[ProfileScenario] = None
@@ -255,26 +275,10 @@ class ScenarioConfig:
     quad_n: int = DEFAULTS["quad_n"]
     seed: int = DEFAULTS["seed"]
     samples_per_band: int = DEFAULTS["samples_per_band"]
-    out_dir: Optional[str] = None
-    out_format: Optional[str] = None
 
     @property
     def hash(self) -> str:
         return scenario_hash(self.resolved)
-
-
-def _parse_output(raw: dict, path: str) -> tuple[Optional[str], Optional[str]]:
-    if "output" not in raw:
-        return None, None
-    out = _expect_dict(raw["output"], f"{path}output")
-    _reject_unknown(out, {"dir", "format"}, f"{path}output")
-    out_dir = out.get("dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{path}output.dir: expected a string")
-    out_format = out.get("format")
-    if out_format is not None and out_format not in ("json", "csv", "both"):
-        raise ConfigError(f"{path}output.format: expected json, csv or both")
-    return out_dir, out_format
 
 
 def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
@@ -298,7 +302,7 @@ def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
 
 def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "budgets", "cost", "profit", "s_search_max",
-                          "s_probe_max", "grid_n", "output"}, "config")
+                          "s_probe_max", "grid_n"}, "config")
     budgets_raw = _require(raw, "budgets", "config")
     if not isinstance(budgets_raw, list) or not budgets_raw:
         raise ConfigError("budgets: expected a nonempty list of function declarations")
@@ -370,7 +374,7 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
 def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "qualities", "tariff", "cost", "box",
                           "margins", "price_lambda", "grid_n", "probes",
-                          "quad_n", "seed", "samples_per_band", "output"},
+                          "quad_n", "seed", "samples_per_band"},
                     "config")
     scenario, resolved = _parse_profile_core(raw, "", base_dir)
     knobs = {key: _integer(raw.get(key, DEFAULTS[key]), key, minimum=lowest)
@@ -382,7 +386,7 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
 
 def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "delta_s", "delta_theta", "types", "d_p",
-                          "points", "empirical", "output"}, "config")
+                          "points", "empirical"}, "config")
     quality_range = _number(_require(raw, "delta_s", "config"), "delta_s",
                             positive=True)
     demand_range = _number(_require(raw, "delta_theta", "config"),
@@ -434,16 +438,14 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     raw = _expect_dict(raw, "config")
+    _check_nesting(raw, "")
     mode = _require(raw, "mode", "config")
     if mode not in ("menu", "profile", "tradeoff"):
         raise ConfigError(f"mode: expected menu, profile or tradeoff, got '{mode}'")
-    out_dir, out_format = _parse_output(raw, "")
     parse = {"menu": _parse_menu, "profile": _parse_profile,
              "tradeoff": _parse_tradeoff}[mode]
-    resolved, parsed = parse({k: v for k, v in raw.items() if k != "output"},
-                             path.parent)
-    return ScenarioConfig(mode=mode, source=path, resolved=resolved,
-                          out_dir=out_dir, out_format=out_format, **parsed)
+    resolved, parsed = parse(raw, path.parent)
+    return ScenarioConfig(mode=mode, resolved=resolved, **parsed)

@@ -33,31 +33,25 @@ class DomainError(ConfigError):
 
 
 class ConstraintViolationError(ContractPricingError):
-    """A required condition of the construction does not hold."""
+    """A required condition of the construction does not hold.
+
+    Carries the condition or verification report, when there is one, on
+    the ``report`` attribute.
+    """
 
     exit_code = 3
 
-
-class RegularityError(ConstraintViolationError):
-    """The menu-construction regularity conditions failed.
-
-    Carries the full condition report on the ``report`` attribute.
-    """
-
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class RegularityError(ConstraintViolationError):
+    """The menu-construction regularity conditions failed."""
 
 
 class NotAchievableError(ConstraintViolationError):
-    """The requested profit-satisfaction margin is not achievable.
-
-    Carries the achievability report on the ``report`` attribute.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The requested profit-satisfaction margin is not achievable."""
 
 
 class NoInteriorMaximizerError(ConstraintViolationError):
@@ -73,14 +67,7 @@ class DegenerateSensitivityError(ConstraintViolationError):
 
 
 class CertificationError(ConstraintViolationError):
-    """A constructed solution failed its own post-build verification.
-
-    Carries the verification report on the ``report`` attribute.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A constructed solution failed its own post-build verification."""
 
 
 class NumericalError(ContractPricingError):

@@ -78,8 +78,6 @@ class ScalarFunction:
     (the upper end may be infinite).
     """
 
-    family = "abstract"
-
     def __init__(self, domain: tuple[float, float] = (0.0, math.inf)):
         lo, hi = float(domain[0]), float(domain[1])
         if lo < 0 or hi <= lo:
@@ -98,9 +96,6 @@ class ScalarFunction:
         out = self._derivative(arr)
         return float(out) if _scalar_inputs(s) else out
 
-    def __call__(self, s: ArrayLike) -> ArrayLike:
-        return self.value(s)
-
     def _value(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -111,10 +106,8 @@ class ScalarFunction:
 class LinearFunction(ScalarFunction):
     """f(s) = slope * s."""
 
-    family = "linear"
-
-    def __init__(self, slope: float, domain=(0.0, math.inf)):
-        super().__init__(domain)
+    def __init__(self, slope: float):
+        super().__init__()
         if slope < 0:
             raise ScenarioError("linear slope must be nonnegative")
         self.slope = float(slope)
@@ -132,10 +125,8 @@ class LinearFunction(ScalarFunction):
 class LogFunction(ScalarFunction):
     """f(s) = scale * log(1 + s)."""
 
-    family = "log"
-
-    def __init__(self, scale: float, domain=(0.0, math.inf)):
-        super().__init__(domain)
+    def __init__(self, scale: float):
+        super().__init__()
         if scale < 0:
             raise ScenarioError("log scale must be nonnegative")
         self.scale = float(scale)
@@ -153,10 +144,8 @@ class LogFunction(ScalarFunction):
 class PowerFunction(ScalarFunction):
     """f(s) = scale * s ** exponent, exponent > 0."""
 
-    family = "power"
-
-    def __init__(self, scale: float, exponent: float, domain=(0.0, math.inf)):
-        super().__init__(domain)
+    def __init__(self, scale: float, exponent: float):
+        super().__init__()
         if scale < 0:
             raise ScenarioError("power scale must be nonnegative")
         if exponent <= 0:
@@ -178,8 +167,6 @@ class PowerFunction(ScalarFunction):
 
 class ScaledFunction(ScalarFunction):
     """f(s) = factor * base(s); used for proportional profit targets."""
-
-    family = "scaled"
 
     def __init__(self, base: ScalarFunction, factor: float):
         super().__init__(base.domain)
@@ -205,8 +192,6 @@ class TabulatedFunction(ScalarFunction):
     values need not be monotone.  The derivative is the slope of the
     segment holding ``s``; on an interior knot, the mean of the two.
     """
-
-    family = "tabulated"
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         xs = np.asarray(xs, dtype=float)
@@ -245,8 +230,6 @@ class TariffFunction:
     inputs produce scalar outputs.
     """
 
-    family = "abstract"
-
     def __init__(self, theta_domain=(0.0, math.inf), s_domain=(0.0, math.inf)):
         self.theta_domain = (float(theta_domain[0]), float(theta_domain[1]))
         self.s_domain = (float(s_domain[0]), float(s_domain[1]))
@@ -272,9 +255,6 @@ class TariffFunction:
             return float(ft), float(fs), float(f2)
         return ft, fs, f2
 
-    def __call__(self, theta: ArrayLike, s: ArrayLike) -> ArrayLike:
-        return self.value(theta, s)
-
     def _value(self, th, sv):
         raise NotImplementedError
 
@@ -285,10 +265,8 @@ class TariffFunction:
 class BilinearTariff(TariffFunction):
     """F(theta, s) = d_p * theta * s."""
 
-    family = "bilinear"
-
-    def __init__(self, d_p: float, theta_domain=(0.0, math.inf), s_domain=(0.0, math.inf)):
-        super().__init__(theta_domain, s_domain)
+    def __init__(self, d_p: float):
+        super().__init__()
         if d_p <= 0:
             raise ScenarioError("bilinear slope d_p must be positive")
         self.d_p = float(d_p)
@@ -307,12 +285,8 @@ class BilinearTariff(TariffFunction):
 class SeparableTariff(TariffFunction):
     """F(theta, s) = g(theta) * h(s) with g, h increasing."""
 
-    family = "separable"
-
-    def __init__(self, g: ScalarFunction, h: ScalarFunction,
-                 theta_domain: Optional[tuple[float, float]] = None,
-                 s_domain: Optional[tuple[float, float]] = None):
-        super().__init__(theta_domain or g.domain, s_domain or h.domain)
+    def __init__(self, g: ScalarFunction, h: ScalarFunction):
+        super().__init__(g.domain, h.domain)
         self.g = g
         self.h = h
 
@@ -338,8 +312,6 @@ class TabulatedTariff(TariffFunction):
     along the other coordinate, averaged over the cells on either side of
     an interior knot and one-sided at the grid edges.
     """
-
-    family = "tabulated"
 
     def __init__(self, thetas: Sequence[float], ss: Sequence[float], values):
         thetas = np.asarray(thetas, dtype=float)

@@ -197,22 +197,19 @@ def maximize_net(i: int, scenario: MenuScenario) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_menu(scenario: MenuScenario, *, check_regularity: bool = True) -> QualityPriceMenu:
+def solve_menu(scenario: MenuScenario) -> QualityPriceMenu:
     """Construct and certify the full quality-price menu.
 
-    Runs the regularity checks (unless ``check_regularity=False``, for
-    callers that already validated the scenario), maximizes each type's
-    net saving, prices every quality at cost plus target profit, and
-    certifies the result through the independent verifier before
-    returning it.
+    Runs the regularity checks, maximizes each type's net saving, prices
+    every quality at cost plus target profit, and certifies the result
+    through the independent verifier before returning it.
     """
     scenario.validate()
-    if check_regularity:
-        report = scenario.check_regularity()
-        if not report.passed:
-            failed = ", ".join(c.cid for c in report.failures)
-            raise RegularityError(
-                f"regularity conditions failed: {failed}", report=report)
+    report = scenario.check_regularity()
+    if not report.passed:
+        failed = ", ".join(c.cid for c in report.failures)
+        raise RegularityError(
+            f"regularity conditions failed: {failed}", report=report)
 
     qualities: list[float] = []
     prices: list[float] = []

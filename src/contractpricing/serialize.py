@@ -21,16 +21,16 @@ import numpy as np
 FLOAT_DIGITS = 9
 
 
-def format_float(x: float, digits: int = FLOAT_DIGITS) -> str:
+def format_float(x: float) -> str:
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         raise ValueError("cannot serialize non-finite float")
-    text = format(x, f".{digits}g")
+    text = format(x, f".{FLOAT_DIGITS}g")
     # normalize negative zero for byte determinism
     return "0" if text == "-0" else text
 
 
-def _scalar(value, digits: int) -> str:
+def _scalar(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -38,15 +38,15 @@ def _scalar(value, digits: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format_float(float(value), digits)
+        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(value, out: list, level: int, indent: int, digits: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(value, out: list, level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -54,7 +54,7 @@ def _emit(value, out: list, level: int, indent: int, digits: int) -> None:
         out.append("{\n")
         for i, (key, item) in enumerate(value.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(item, out, level + 1, indent, digits)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -64,19 +64,17 @@ def _emit(value, out: list, level: int, indent: int, digits: int) -> None:
         out.append("[\n")
         for i, item in enumerate(value):
             out.append(pad)
-            _emit(item, out, level + 1, indent, digits)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(close_pad + "]")
-    elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), out, level, indent, digits)
     else:
-        out.append(_scalar(value, digits))
+        out.append(_scalar(value))
 
 
-def dumps_canonical(obj, indent: int = 2, digits: int = FLOAT_DIGITS) -> str:
+def dumps_canonical(obj) -> str:
     """Render ``obj`` as deterministic, human-diffable JSON text."""
     out: list = []
-    _emit(obj, out, 0, indent, digits)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
@@ -90,16 +88,9 @@ def write_json(path: Union[str, Path], obj) -> Path:
 def write_csv(path: Union[str, Path], header: Sequence[str],
               rows: Iterable[Sequence]) -> Path:
     """Write rows with the same fixed float formatting as the JSON dumps."""
-    def cell(v) -> str:
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (float, np.floating)):
-            return format_float(float(v))
-        return str(v)
-
     path = Path(path)
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(_scalar(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -114,7 +105,7 @@ def _canonical_hash_form(value) -> str:
         return "[" + ",".join(_canonical_hash_form(v) for v in value) + "]"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    return _scalar(value, 17)
+    return _scalar(value)
 
 
 def scenario_hash(resolved_config: dict) -> str:

@@ -12,7 +12,7 @@ composite-Simpson quadrature of their defining integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -47,13 +47,7 @@ class Violation:
     witness: dict
 
     def to_dict(self) -> dict:
-        return {
-            "constraint": self.constraint,
-            "k": self.k,
-            "l": self.l,
-            "margin": self.margin,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -226,18 +220,7 @@ class BandStats:
     meets_profit_target: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "theta": self.theta,
-            "quality": self.quality,
-            "price": self.price,
-            "fraction_intended": self.fraction_intended,
-            "min_saving": self.min_saving,
-            "mean_saving": self.mean_saving,
-            "provider_profit": self.provider_profit,
-            "profit_target": self.profit_target,
-            "meets_profit_target": self.meets_profit_target,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -254,11 +237,7 @@ class OutOfBandStats:
     min_saving: float
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "fraction_affordable": self.fraction_affordable,
-            "min_saving": self.min_saving,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -269,12 +248,7 @@ class MarketSimReport:
     out_of_band: Optional[OutOfBandStats]
 
     def to_dict(self) -> dict:
-        return {
-            "samples_per_band": self.samples_per_band,
-            "rng_seed": self.rng_seed,
-            "bands": [s.to_dict() for s in self.bands],
-            "out_of_band": self.out_of_band.to_dict() if self.out_of_band else None,
-        }
+        return asdict(self)
 
 
 def _savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",

@@ -587,3 +587,102 @@ class TestCliDomains:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["message"].startswith("box demand range")
         assert "tariff's theta domain" in error["message"]
+
+
+def run_module(argv):
+    """Run ``python -m contractpricing`` on this process's package copy."""
+    package_root = str(Path(contractpricing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "contractpricing", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def nested_cost_config(tmp_path, levels):
+    """Menu config text whose cost nests ``levels`` scaled declarations;
+    built as text because ``json.dumps`` itself stops near 1000 levels."""
+    cost = ('{"family": "scaled", "factor": 1.0, "base": ' * levels
+            + '{"family": "linear", "slope": 1.0}' + "}" * levels)
+    text = json.dumps(dict(MENU_CONFIG, cost="COST")).replace('"COST"', cost)
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestCliErrorContract:
+    """Every error exit leaves exactly one JSON object on stderr."""
+
+    def error_of(self, result, code):
+        assert result.returncode == code
+        return json.loads(result.stderr)["error"]
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+        payload = json.loads((demo / "profile_bilinear.json").read_text())
+        config = write_config(tmp_path, edited(payload, {"tariff.d_p": 1e308}))
+        error = self.error_of(run_module(
+            ["profile", config, "--out", str(tmp_path / "o"), "--quiet"]), 3)
+        assert error["type"] == "NotAchievableError"
+
+    def test_nesting_beyond_limit_names_path(self, tmp_path):
+        config = nested_cost_config(tmp_path, 600)
+        error = self.error_of(run_module(
+            ["menu", config, "--out", str(tmp_path / "o"), "--quiet"]), 2)
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("cost.base.base")
+        assert "nested deeper than 32 levels" in error["message"]
+
+    def test_nesting_beyond_json_decoder_is_config_error(self, tmp_path):
+        config = nested_cost_config(tmp_path, 3000)
+        error = self.error_of(run_module(
+            ["check", config, "--out", str(tmp_path / "o"), "--quiet"]), 2)
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("malformed JSON")
+
+    def test_nesting_at_limit_loads(self, tmp_path):
+        # the cost object sits at depth 1, so 31 scaled levels reach 32
+        config = load_config(nested_cost_config(tmp_path, 31))
+        assert config.menu.cost.value(2.0) == 2.0
+        with pytest.raises(ConfigError, match="nested deeper"):
+            load_config(nested_cost_config(tmp_path, 32))
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "solution file not found"),
+        ("{not json", "malformed solution JSON"),
+        ('{"entries": []}', "lacks a mode field"),
+        ('{"mode": "menu", "entries": []}', "does not match config mode"),
+    ], ids=["missing", "malformed", "no_mode", "wrong_mode"])
+    def test_bad_solution_file(self, tmp_path, capsys, content, message):
+        config = write_config(tmp_path, PROFILE_CONFIG)
+        solution = tmp_path / "solution.json"
+        if content is not None:
+            solution.write_text(content)
+        assert run(["verify", config, str(solution), "--out",
+                    str(tmp_path / "o"), "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert message in error["message"]
+
+    def test_check_on_tradeoff_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, TRADEOFF_CONFIG)
+        assert run(["check", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "'check' needs a menu or profile config" in error["message"]
+
+    def test_tabulated_negative_coordinate(self, tmp_path, capsys):
+        (tmp_path / "budget.csv").write_text("-1.0,0.0\n0.0,1.0\n5.0,3.0\n")
+        payload = json.loads(json.dumps(MENU_CONFIG))
+        payload["budgets"][0] = {"family": "tabulated", "csv": "budget.csv"}
+        config = write_config(tmp_path, payload)
+        assert run(["check", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert error["message"].startswith(
+            "budgets[0].csv: invalid function domain")
+
+    def test_output_block_is_unknown_key(self, tmp_path):
+        payload = dict(MENU_CONFIG, output={"dir": "out"})
+        with pytest.raises(ConfigError, match="unknown key.*output"):
+            load_config(write_config(tmp_path, payload))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contractpricing import (
     BracketError,
+    ConditionReport,
     DegenerateTypesError,
     LinearFunction,
     LogFunction,
@@ -167,14 +168,18 @@ class TestSolveMenu:
         with pytest.raises(RegularityError, match="a3"):
             solve_menu(scenario)
 
-    def test_identical_budgets_rejected_as_ties(self):
+    def test_identical_budgets_rejected_as_ties(self, monkeypatch):
+        # identical budgets fail single crossing; skip the regularity
+        # report to reach the tie check behind it
+        monkeypatch.setattr(MenuScenario, "check_regularity",
+                            lambda self: ConditionReport(()))
         scenario = MenuScenario(
             budgets=(LogFunction(2.2), LogFunction(2.2)),
             cost=LinearFunction(1.0),
             profit=ScaledFunction(LinearFunction(1.0), 0.1),
         )
         with pytest.raises(DegenerateTypesError):
-            solve_menu(scenario, check_regularity=False)
+            solve_menu(scenario)
 
     def test_menu_roundtrips_through_dict(self, log_menu_scenario):
         menu = solve_menu(log_menu_scenario)
