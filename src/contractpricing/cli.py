@@ -28,7 +28,6 @@ solution uses a matching slack of 1e-6 instead of the solver-side 1e-9.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -36,10 +35,10 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, load_solution
 from .errors import ConfigError, ContractPricingError, ScenarioError
-from .menu import QualityPriceMenu, solve_menu
-from .profile import DemandPriceProfile, build_profile, check_achievability
+from .menu import solve_menu
+from .profile import build_profile, check_achievability
 from .serialize import dumps_canonical, format_float, write_csv, write_json
 from .tradeoff import empirical_region, homogeneous_region
 from .verify import simulate_market, verify_menu, verify_profile
@@ -117,28 +116,6 @@ def _require_mode(config: ScenarioConfig, expected: str, command: str) -> None:
             f"'{command}' needs a {expected} config, got mode '{config.mode}'")
 
 
-def _load_solution(path: str, config: ScenarioConfig) -> dict:
-    solution_path = Path(path)
-    if not solution_path.is_file():
-        raise ConfigError(f"solution file not found: {solution_path}")
-    try:
-        data = json.loads(solution_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"malformed solution JSON: {exc}") from None
-    if not isinstance(data, dict) or "mode" not in data:
-        raise ConfigError("solution file lacks a mode field")
-    if data["mode"] != config.mode:
-        raise ConfigError(
-            f"solution mode '{data['mode']}' does not match config mode "
-            f"'{config.mode}'")
-    stored = data.get("scenario_sha256")
-    if stored != config.hash:
-        raise ConfigError(
-            "scenario hash mismatch: the solution was produced from a "
-            "different configuration")
-    return data
-
-
 def _print_table(args, header: list[str], rows: list[list]) -> None:
     if args.quiet:
         return
@@ -200,17 +177,15 @@ def _cmd_profile(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
-    data = _load_solution(args.solution, config)
+    if config.mode not in ("menu", "profile"):
+        raise ConfigError("'verify' needs a menu or profile config")
+    solution = load_solution(args.solution, config)
     if config.mode == "menu":
-        menu = QualityPriceMenu.from_dict(data)
-        report = verify_menu(menu, config.menu, slack=SERIALIZED_SLACK)
-    elif config.mode == "profile":
-        profile = DemandPriceProfile.from_dict(data)
-        report = verify_profile(profile, config.profile,
+        report = verify_menu(solution, config.menu, slack=SERIALIZED_SLACK)
+    else:
+        report = verify_profile(solution, config.profile,
                                 probes_per_band=config.probes,
                                 slack=SERIALIZED_SLACK)
-    else:
-        raise ConfigError("'verify' needs a menu or profile config")
     out = _out_dir(args)
     write_json(out / "verification.json", report.to_dict())
     if report.passed:
@@ -227,8 +202,7 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     _require_mode(config, "profile", "simulate")
-    data = _load_solution(args.solution, config)
-    profile = DemandPriceProfile.from_dict(data)
+    profile = load_solution(args.solution, config)
     samples = args.samples if args.samples is not None else config.samples_per_band
     seed = args.seed if args.seed is not None else config.seed
     report = simulate_market(profile, config.profile, samples, seed)

@@ -14,7 +14,9 @@ samples_per_band 1000, points 50).  ``quad_n`` is hashed but no command
 reads it; dropping it would change the hash of every stored profile
 solution.  The resolved dictionary, defaults filled in, has a canonical
 hash that solution files embed so that verification can detect
-configuration drift.
+configuration drift.  :func:`load_solution` checks a solution file's
+mode, hash and entry count; the ``from_dict`` of the solution class
+parses its body with the same field-path helpers (:mod:`.fields`).
 
 Function declarations::
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -42,6 +43,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ScenarioError
+from .fields import expect_dict, number, number_list, require
 from .functions import (
     BilinearTariff,
     DomainBox,
@@ -55,8 +57,8 @@ from .functions import (
     TabulatedTariff,
     TariffFunction,
 )
-from .menu import MenuScenario
-from .profile import MarginSpec, ProfileScenario
+from .menu import MenuScenario, QualityPriceMenu
+from .profile import DemandPriceProfile, MarginSpec, ProfileScenario
 from .serialize import scenario_hash
 
 #: defaults of the run-time knobs; the scenario dataclasses own the rest
@@ -99,36 +101,10 @@ def _check_nesting(value, path: str, depth: int = 0) -> None:
         _check_nesting(item, child, depth + 1)
 
 
-def _expect_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return value
-
-
 def _reject_unknown(d: dict, allowed: set, path: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
-
-
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return d[key]
-
-
-def _number(value, path: str, *, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: must be finite") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}: must be positive")
-    return value
 
 
 def _integer(value, path: str, *, minimum: Optional[int] = None) -> int:
@@ -137,13 +113,6 @@ def _integer(value, path: str, *, minimum: Optional[int] = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be at least {minimum}")
     return value
-
-
-def _number_list(value, path: str, *, positive: bool = False) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return [_number(v, f"{path}[{i}]", positive=positive)
-            for i, v in enumerate(value)]
 
 
 def _given(raw: dict, path_prefix: str, parsers: dict) -> dict:
@@ -162,7 +131,7 @@ def _validated(prefix: str, validate, *args, **kwargs):
 
 
 def _family(decl: dict, path: str, families: tuple) -> str:
-    family = _require(decl, "family", path)
+    family = require(decl, "family", path)
     if not isinstance(family, str) or family not in families:
         raise ConfigError(f"{path}.family: unknown family '{family}'")
     return family
@@ -171,7 +140,7 @@ def _family(decl: dict, path: str, families: tuple) -> str:
 def _closed_form(decl: dict, family: str, path: str):
     ctor, names = _CLOSED_FORMS[family]
     _reject_unknown(decl, {"family", *names}, path)
-    args = {name: _number(_require(decl, name, path), f"{path}.{name}")
+    args = {name: number(require(decl, name, path), f"{path}.{name}")
             for name in names}
     return _validated(f"{path}: ", ctor, **args), {"family": family, **args}
 
@@ -180,7 +149,7 @@ def _csv_source(decl: dict, path: str, base_dir: Path) -> tuple[Path, dict]:
     """Locate a tabulated declaration's CSV file; also return the resolved
     declaration, which embeds the data digest."""
     _reject_unknown(decl, {"family", "csv"}, path)
-    name = _require(decl, "csv", path)
+    name = require(decl, "csv", path)
     if not isinstance(name, str):
         raise ConfigError(f"{path}.csv: expected a string")
     csv_path = Path(name)
@@ -199,15 +168,15 @@ def parse_scalar_function(decl, path: str, base_dir: Path
     Returns the function together with the resolved declaration used
     for hashing (tabulated declarations embed the data digest).
     """
-    decl = _expect_dict(decl, path)
+    decl = expect_dict(decl, path)
     family = _family(decl, path, _SCALAR_FAMILIES)
     if family in _CLOSED_FORMS:
         return _closed_form(decl, family, path)
     if family == "scaled":
         _reject_unknown(decl, {"family", "base", "factor"}, path)
         base, base_resolved = parse_scalar_function(
-            _require(decl, "base", path), f"{path}.base", base_dir)
-        factor = _number(_require(decl, "factor", path), f"{path}.factor")
+            require(decl, "base", path), f"{path}.base", base_dir)
+        factor = number(require(decl, "factor", path), f"{path}.factor")
         return (_validated(f"{path}: ", ScaledFunction, base, factor),
                 {"family": "scaled", "base": base_resolved, "factor": factor})
     csv_path, resolved = _csv_source(decl, path, base_dir)
@@ -223,15 +192,15 @@ def parse_scalar_function(decl, path: str, base_dir: Path
 
 def parse_tariff_function(decl, path: str, base_dir: Path
                           ) -> tuple[TariffFunction, dict]:
-    decl = _expect_dict(decl, path)
+    decl = expect_dict(decl, path)
     family = _family(decl, path, _TARIFF_FAMILIES)
     if family in _CLOSED_FORMS:
         return _closed_form(decl, family, path)
     if family == "separable":
         _reject_unknown(decl, {"family", "g", "h"}, path)
-        g, g_res = parse_scalar_function(_require(decl, "g", path),
+        g, g_res = parse_scalar_function(require(decl, "g", path),
                                          f"{path}.g", base_dir)
-        h, h_res = parse_scalar_function(_require(decl, "h", path),
+        h, h_res = parse_scalar_function(require(decl, "h", path),
                                          f"{path}.h", base_dir)
         return (SeparableTariff(g, h),
                 {"family": "separable", "g": g_res, "h": h_res})
@@ -282,28 +251,28 @@ class ScenarioConfig:
 
 
 def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
-    box = _expect_dict(raw, path)
+    box = expect_dict(raw, path)
     _reject_unknown(box, {"theta_low", "theta_up", "s_low", "s_up"}, path)
-    values = {key: _number(_require(box, key, path), f"{path}.{key}")
+    values = {key: number(require(box, key, path), f"{path}.{key}")
               for key in ("theta_low", "theta_up", "s_low", "s_up")}
     return DomainBox(**values), values
 
 
 def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
     path = f"{path_prefix}margins"
-    margins = _expect_dict(raw, path)
+    margins = expect_dict(raw, path)
     _reject_unknown(margins, {"b", "m", "gap"}, path)
-    resolved = {key: _number_list(_require(margins, key, path), f"{path}.{key}")
+    resolved = {key: number_list(require(margins, key, path), f"{path}.{key}")
                 for key in ("b", "m")}
     if "gap" in margins:
-        resolved["gap"] = _number_list(margins["gap"], f"{path}.gap")
+        resolved["gap"] = number_list(margins["gap"], f"{path}.gap")
     return MarginSpec(**{key: tuple(v) for key, v in resolved.items()}), resolved
 
 
 def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "budgets", "cost", "profit", "s_search_max",
                           "s_probe_max", "grid_n"}, "config")
-    budgets_raw = _require(raw, "budgets", "config")
+    budgets_raw = require(raw, "budgets", "config")
     if not isinstance(budgets_raw, list) or not budgets_raw:
         raise ConfigError("budgets: expected a nonempty list of function declarations")
     budgets, budgets_res = [], []
@@ -311,12 +280,12 @@ def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
         func, res = parse_scalar_function(decl, f"budgets[{i}]", base_dir)
         budgets.append(func)
         budgets_res.append(res)
-    cost, cost_res = parse_scalar_function(_require(raw, "cost", "config"),
+    cost, cost_res = parse_scalar_function(require(raw, "cost", "config"),
                                            "cost", base_dir)
-    profit, profit_res = parse_scalar_function(_require(raw, "profit", "config"),
+    profit, profit_res = parse_scalar_function(require(raw, "profit", "config"),
                                                "profit", base_dir)
     scenario = MenuScenario(tuple(budgets), cost, profit, **_given(
-        raw, "", {"s_search_max": _number, "s_probe_max": _number,
+        raw, "", {"s_search_max": number, "s_probe_max": number,
                   "grid_n": _integer}))
     scenario.validate()
     return {
@@ -333,19 +302,19 @@ def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
 def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
                         require_margins: bool = True
                         ) -> tuple[ProfileScenario, dict]:
-    qualities = _number_list(_require(raw, "qualities", path_prefix or "config"),
+    qualities = number_list(require(raw, "qualities", path_prefix or "config"),
                              f"{path_prefix}qualities")
     tariff, tariff_res = parse_tariff_function(
-        _require(raw, "tariff", path_prefix or "config"),
+        require(raw, "tariff", path_prefix or "config"),
         f"{path_prefix}tariff", base_dir)
     cost, cost_res = parse_scalar_function(
-        _require(raw, "cost", path_prefix or "config"),
+        require(raw, "cost", path_prefix or "config"),
         f"{path_prefix}cost", base_dir)
-    box, box_res = _parse_box(_require(raw, "box", path_prefix or "config"),
+    box, box_res = _parse_box(require(raw, "box", path_prefix or "config"),
                               f"{path_prefix}box")
     if require_margins or "margins" in raw:
         margins, margins_res = _parse_margins(
-            _require(raw, "margins", path_prefix or "config"), path_prefix)
+            require(raw, "margins", path_prefix or "config"), path_prefix)
     else:
         # placeholder margins for templates whose margins the tradeoff
         # grid supplies
@@ -354,7 +323,7 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
         margins_res = {"b": list(margins.b), "m": list(margins.m)}
     scenario = ProfileScenario(tuple(qualities), tariff, cost, box, margins,
                                **_given(raw, path_prefix,
-                                        {"price_lambda": _number,
+                                        {"price_lambda": number,
                                          "grid_n": _integer}))
     # the scenario owns its rules; its errors already name the field
     _validated(path_prefix, scenario.validate)
@@ -387,12 +356,12 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
 def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "delta_s", "delta_theta", "types", "d_p",
                           "points", "empirical"}, "config")
-    quality_range = _number(_require(raw, "delta_s", "config"), "delta_s",
+    quality_range = number(require(raw, "delta_s", "config"), "delta_s",
                             positive=True)
-    demand_range = _number(_require(raw, "delta_theta", "config"),
+    demand_range = number(require(raw, "delta_theta", "config"),
                            "delta_theta", positive=True)
-    n_types = _integer(_require(raw, "types", "config"), "types", minimum=1)
-    d_p = _number(_require(raw, "d_p", "config"), "d_p", positive=True)
+    n_types = _integer(require(raw, "types", "config"), "types", minimum=1)
+    d_p = number(require(raw, "d_p", "config"), "d_p", positive=True)
     points = _integer(raw.get("points", DEFAULTS["points"]), "points", minimum=2)
     resolved = {
         "mode": "tradeoff",
@@ -404,13 +373,13 @@ def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     }
     empirical = None
     if "empirical" in raw:
-        emp = _expect_dict(raw["empirical"], "empirical")
+        emp = expect_dict(raw["empirical"], "empirical")
         _reject_unknown(emp, {"b_grid", "m_grid", "scenario"}, "empirical")
-        b_grid = _number_list(_require(emp, "b_grid", "empirical"),
+        b_grid = number_list(require(emp, "b_grid", "empirical"),
                               "empirical.b_grid", positive=True)
-        m_grid = _number_list(_require(emp, "m_grid", "empirical"),
+        m_grid = number_list(require(emp, "m_grid", "empirical"),
                               "empirical.m_grid", positive=True)
-        scn_raw = _expect_dict(_require(emp, "scenario", "empirical"),
+        scn_raw = expect_dict(require(emp, "scenario", "empirical"),
                                "empirical.scenario")
         _reject_unknown(scn_raw, {"qualities", "tariff", "cost", "box",
                                   "price_lambda", "grid_n"},
@@ -440,12 +409,49 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    raw = _expect_dict(raw, "config")
+    raw = expect_dict(raw, "config")
     _check_nesting(raw, "")
-    mode = _require(raw, "mode", "config")
+    mode = require(raw, "mode", "config")
     if mode not in ("menu", "profile", "tradeoff"):
         raise ConfigError(f"mode: expected menu, profile or tradeoff, got '{mode}'")
     parse = {"menu": _parse_menu, "profile": _parse_profile,
              "tradeoff": _parse_tradeoff}[mode]
     resolved, parsed = parse(raw, path.parent)
     return ScenarioConfig(mode=mode, resolved=resolved, **parsed)
+
+
+def load_solution(path: Union[str, Path], config: ScenarioConfig
+                  ) -> Union[QualityPriceMenu, DemandPriceProfile]:
+    """Read a stored menu or profile solution of ``config``.
+
+    The solution's mode and scenario hash must match the config's, and it
+    must hold one entry per type (menu) or quality (profile); the body is
+    parsed by the solution class's ``from_dict``.  Raises
+    :class:`ConfigError` naming the field on any mismatch.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"solution file not found: {path}")
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"malformed solution JSON: {exc}") from None
+    if not isinstance(data, dict) or "mode" not in data:
+        raise ConfigError("solution file lacks a mode field")
+    if data["mode"] != config.mode:
+        raise ConfigError(
+            f"solution mode '{data['mode']}' does not match config mode "
+            f"'{config.mode}'")
+    if data.get("scenario_sha256") != config.hash:
+        raise ConfigError(
+            "scenario hash mismatch: the solution was produced from a "
+            "different configuration")
+    if config.mode == "menu":
+        solution, count, per = (QualityPriceMenu.from_dict(data),
+                                config.menu.n_types, "type")
+    else:
+        solution, count, per = (DemandPriceProfile.from_dict(data),
+                                config.profile.n_qualities, "quality")
+    if len(solution.entries) != count:
+        raise ConfigError(f"entries: expected {count} entries, one per {per}")
+    return solution

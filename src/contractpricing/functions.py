@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, ScenarioError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .menu import MenuScenario
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -47,8 +50,17 @@ def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
         )
 
 
-def _scalar_inputs(*xs) -> bool:
-    return all(isinstance(x, (int, float)) for x in xs)
+def _evaluate(method, named_domains, *args):
+    """The one checked evaluation path of the public methods: check every
+    argument against its (name, domain), call ``method`` on float arrays,
+    and return floats (one or a tuple) for plain scalar arguments."""
+    arrays = [np.asarray(x, dtype=float) for x in args]
+    for arr, (name, domain) in zip(arrays, named_domains):
+        _check_in_interval(arr, *domain, name=name)
+    out = method(*arrays)
+    if not all(isinstance(x, (int, float)) for x in args):
+        return out
+    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
 
 def check_size(name: str, value: int, lo: int, hi: int) -> None:
@@ -85,16 +97,10 @@ class ScalarFunction:
         self.domain = (lo, hi)
 
     def value(self, s: ArrayLike) -> ArrayLike:
-        arr = np.asarray(s, dtype=float)
-        _check_in_interval(arr, *self.domain, name="s")
-        out = self._value(arr)
-        return float(out) if _scalar_inputs(s) else out
+        return _evaluate(self._value, (("s", self.domain),), s)
 
     def derivative(self, s: ArrayLike) -> ArrayLike:
-        arr = np.asarray(s, dtype=float)
-        _check_in_interval(arr, *self.domain, name="s")
-        out = self._derivative(arr)
-        return float(out) if _scalar_inputs(s) else out
+        return _evaluate(self._derivative, (("s", self.domain),), s)
 
     def _value(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -234,26 +240,15 @@ class TariffFunction:
         self.theta_domain = (float(theta_domain[0]), float(theta_domain[1]))
         self.s_domain = (float(s_domain[0]), float(s_domain[1]))
 
-    def _check(self, theta, s):
-        _check_in_interval(theta, *self.theta_domain, name="theta")
-        _check_in_interval(s, *self.s_domain, name="s")
-
     def value(self, theta: ArrayLike, s: ArrayLike) -> ArrayLike:
-        th = np.asarray(theta, dtype=float)
-        sv = np.asarray(s, dtype=float)
-        self._check(th, sv)
-        out = self._value(th, sv)
-        return float(out) if _scalar_inputs(theta, s) else out
+        return _evaluate(self._value, self._named_domains(), theta, s)
 
     def partials(self, theta: ArrayLike, s: ArrayLike):
         """Return (F_theta, F_s, F_2) at (theta, s)."""
-        th = np.asarray(theta, dtype=float)
-        sv = np.asarray(s, dtype=float)
-        self._check(th, sv)
-        ft, fs, f2 = self._partials(th, sv)
-        if _scalar_inputs(theta, s):
-            return float(ft), float(fs), float(f2)
-        return ft, fs, f2
+        return _evaluate(self._partials, self._named_domains(), theta, s)
+
+    def _named_domains(self):
+        return (("theta", self.theta_domain), ("s", self.s_domain))
 
     def _value(self, th, sv):
         raise NotImplementedError
@@ -453,15 +448,12 @@ def _min_with_witness(values: np.ndarray, grid: np.ndarray):
     return float(values[k]), float(grid[k])
 
 
-def check_menu_regularity(budgets: Sequence[ScalarFunction],
-                          cost: ScalarFunction,
-                          profit: ScalarFunction,
-                          s_probe: tuple[float, float] = (0.0, 100.0),
-                          grid_n: int = DEFAULT_GRID_N,
-                          s_cap: float = 1e6) -> ConditionReport:
+def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     """Certify the assumptions of the quality-price menu construction.
 
-    Conditions, each sampled on a ``grid_n``-point grid over ``s_probe``:
+    Validates ``scenario`` first, so every function is defined on
+    [0, s_search_max].  Conditions, each sampled on a ``grid_n``-point
+    grid over (0, s_probe_max]:
 
     * a1: cost strictly increasing and convex, profit target nondecreasing
       and convex, both vanish at the origin.  (A zero profit target is
@@ -472,27 +464,20 @@ def check_menu_regularity(budgets: Sequence[ScalarFunction],
     * a3: the lowest type can afford some quality at cost-plus-profit,
       and the highest type cannot afford arbitrarily high quality.  The
       second witness may lie beyond the probe window, so the scan keeps
-      doubling the quality up to ``s_cap`` before giving up.
+      doubling the quality up to ``s_search_max`` before giving up.
 
     Failures carry the witness grid point.  Report-valued: never raises
     on a condition failure.
     """
-    check_size("grid_n", grid_n, 16, MAX_GRID_N)
-    lo, hi = float(s_probe[0]), float(s_probe[1])
-    if lo < 0 or hi <= lo:
-        raise ScenarioError("s_probe must be a positive interval")
-    step = (hi - lo) / grid_n
-    grid = lo + step * np.arange(1, grid_n + 1)
+    scenario.validate()
+    budgets, cost, profit = scenario.budgets, scenario.cost, scenario.profit
+    hi = scenario.s_probe_max
+    grid = (hi / scenario.grid_n) * np.arange(1, scenario.grid_n + 1)
 
     checks: list[ConditionCheck] = []
 
     def zero_at_origin(cid, func):
-        try:
-            v0 = abs(float(func.value(0.0)))
-        except DomainError:
-            checks.append(ConditionCheck(cid, False, -math.inf, 0.0,
-                                         "origin not in function domain"))
-            return
+        v0 = abs(float(func.value(0.0)))
         checks.append(ConditionCheck(cid, v0 <= 1e-12, -v0, 0.0 if v0 > 1e-12 else None,
                                      "value at 0"))
 
@@ -541,7 +526,7 @@ def check_menu_regularity(budgets: Sequence[ScalarFunction],
 
     # existence scans include a geometric refinement near the origin so
     # that small feasible regions of the lowest type are not missed
-    geo = np.geomspace(hi * 1e-9 if lo == 0.0 else lo, hi, 64)
+    geo = np.geomspace(hi * 1e-9, hi, 64)
     scan = np.unique(np.concatenate([grid, geo]))
     cb_scan = np.asarray(cost.value(scan)) + np.asarray(profit.value(scan))
     entry_gap = np.asarray(budgets[0].value(scan)) - cb_scan
@@ -555,11 +540,9 @@ def check_menu_regularity(budgets: Sequence[ScalarFunction],
     best_gap, best_witness = float(top_gap[k]), float(scan[k])
     if best_gap <= 0.0:
         # keep doubling the probe: the boundedness witness may sit far
-        # beyond the probe window (domains permitting)
-        reach = min(s_cap, cost.domain[1], profit.domain[1],
-                    budgets[-1].domain[1])
+        # beyond the probe window
         y = 2.0 * hi
-        while y <= reach:
+        while y <= scenario.s_search_max:
             gap = (float(cost.value(y)) + float(profit.value(y))
                    - float(budgets[-1].value(y)))
             if gap > best_gap:
@@ -589,13 +572,14 @@ def check_marginal_budget(tariff: TariffFunction,
     box.validate()
     theta_grid = np.linspace(box.theta_low, box.theta_up, grid_n)
     s_grid = np.linspace(box.s_low, box.s_up, grid_n)
+    c_prime = np.asarray(cost.derivative(s_grid))
     worst = math.inf
     witness = (box.theta_low, box.s_low)
-    for s in s_grid:
+    for s, c_s in zip(s_grid, c_prime):
         _, f_s, _ = tariff.partials(theta_grid, float(s))
         f_s = np.asarray(f_s)
         k = int(np.argmin(f_s))
-        margin = float(f_s[k]) - float(cost.derivative(float(s)))
+        margin = float(f_s[k]) - float(c_s)
         if margin < worst:
             worst = margin
             witness = (float(theta_grid[k]), float(s))

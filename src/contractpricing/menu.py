@@ -16,6 +16,7 @@ problem sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ScenarioError,
     UnboundedFeasibleSetError,
 )
+from .fields import entry_list, number_column
 from .functions import (DEFAULT_GRID_N, MAX_GRID_N, ScalarFunction,
                         check_menu_regularity, check_size)
 from .verify import verify_menu
@@ -47,7 +49,8 @@ class MenuScenario:
     ``budgets`` are ordered by type (lowest first) and must satisfy the
     single crossing condition for consecutive pairs; ``s_probe_max`` and
     ``grid_n`` control the regularity scan, ``s_search_max`` caps all
-    bracketing searches.
+    bracketing searches.  Every budget, the cost and the profit target
+    must be defined on [0, s_search_max].
     """
 
     budgets: tuple[ScalarFunction, ...]
@@ -67,11 +70,19 @@ class MenuScenario:
     def validate(self) -> None:
         if self.n_types < 1:
             raise ScenarioError("at least one budget function is required")
-        if self.s_search_max <= 0:
-            raise ScenarioError("s_search_max must be positive")
+        # the regularity scan doubles its probe up to s_search_max
+        if not 0 < self.s_search_max < math.inf:
+            raise ScenarioError("s_search_max must be positive and finite")
         if not 0 < self.s_probe_max <= self.s_search_max:
             raise ScenarioError("s_probe_max must lie in (0, s_search_max]")
         check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
+        named = [(f"budgets[{i}]", p) for i, p in enumerate(self.budgets)]
+        for name, func in named + [("cost", self.cost), ("profit", self.profit)]:
+            lo, hi = func.domain
+            if lo > 1e-12 or hi < self.s_search_max - 1e-12:
+                raise ScenarioError(
+                    f"{name} domain [{lo:g}, {hi:g}] does not cover the "
+                    f"search window [0, {self.s_search_max:g}]")
 
     def net(self, i: int, s):
         """Net saving f_i(s) = P_i(s) - C(s) - B(s) for 1-based type i."""
@@ -85,9 +96,7 @@ class MenuScenario:
                 - np.asarray(self.profit.derivative(s)))
 
     def check_regularity(self):
-        return check_menu_regularity(self.budgets, self.cost, self.profit,
-                                     (0.0, self.s_probe_max), self.grid_n,
-                                     s_cap=self.s_search_max)
+        return check_menu_regularity(self)
 
 
 @dataclass(frozen=True)
@@ -112,13 +121,11 @@ class QualityPriceMenu:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "QualityPriceMenu":
-        entries = data["entries"]
-        return cls(
-            qualities=tuple(float(e["s"]) for e in entries),
-            prices=tuple(float(e["p"]) for e in entries),
-            net_values=tuple(float(e["net"]) for e in entries),
-        )
+    def from_dict(cls, data) -> "QualityPriceMenu":
+        """Parse :meth:`to_dict` output; :class:`ConfigError` names the
+        first field that is missing or not a finite number."""
+        entries = entry_list(data)
+        return cls(*(number_column(entries, key) for key in ("s", "p", "net")))
 
 
 def _check_type_index(i: int, scenario: MenuScenario) -> None:

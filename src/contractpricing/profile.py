@@ -24,11 +24,13 @@ import numpy as np
 
 from .errors import (
     CertificationError,
+    ConfigError,
     DegenerateSensitivityError,
     EmptyPriceWindowError,
     NotAchievableError,
     ScenarioError,
 )
+from .fields import entry_list, number_column, number_list, require
 from .functions import (
     DEFAULT_GRID_N,
     MAX_GRID_N,
@@ -162,15 +164,24 @@ class DemandPriceProfile:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DemandPriceProfile":
-        entries = data["entries"]
-        return cls(
-            demands=tuple(float(e["theta"]) for e in entries),
-            prices=tuple(float(e["p"]) for e in entries),
-            windows=tuple((float(e["window"][0]), float(e["window"][1]))
-                          for e in entries),
-            step_sizes=tuple(float(d) for d in data["deltas"]),
-        )
+    def from_dict(cls, data) -> "DemandPriceProfile":
+        """Parse :meth:`to_dict` output; :class:`ConfigError` names the
+        first field that is missing, not a finite number or of the wrong
+        length (two-number windows, one step size per quality)."""
+        entries = entry_list(data)
+        windows = []
+        for path, e in entries:
+            window = number_list(require(e, "window", path), f"{path}.window")
+            if len(window) != 2:
+                raise ConfigError(f"{path}.window: expected two numbers")
+            windows.append(tuple(window))
+        deltas = number_list(require(data, "deltas", "solution"), "deltas")
+        if len(deltas) != len(entries):
+            raise ConfigError(
+                f"deltas: expected {len(entries)} numbers, one per quality")
+        return cls(demands=number_column(entries, "theta"),
+                   prices=number_column(entries, "p"),
+                   windows=tuple(windows), step_sizes=tuple(deltas))
 
 
 def sensitivity_bounds(scenario: ProfileScenario, j: int) -> tuple[float, float]:

@@ -36,6 +36,20 @@ MAX_QUAD_N = 1 << 20
 MAX_SAMPLES_PER_BAND = 10 ** 7
 
 
+def _null_non_finite(value):
+    """``value`` with every non-finite float, also inside dicts, lists and
+    tuples, set to None.  JSON has no non-finite numbers, and an
+    overflowed or NaN margin or saving is a legitimate report value, so
+    reports write it as null."""
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated constraint with its signed margin and witness values."""
@@ -47,7 +61,7 @@ class Violation:
     witness: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,8 @@ class VerificationReport:
     """Certification outcome: empty violation list means pass.
 
     ``worst_margin`` is the minimum signed slack across every checked
-    constraint (negative means violated), regardless of pass/fail.
+    constraint (negative means violated), regardless of pass/fail; NaN
+    when any margin was NaN.
     """
 
     passed: bool
@@ -71,7 +86,11 @@ class VerificationReport:
 
 
 class _Margins:
-    """Accumulates signed margins and flags those below the slack."""
+    """Accumulates signed margins and flags those below the slack.
+
+    Fails closed: a margin that is not ``>= -slack`` (NaN included) is a
+    violation, and a NaN margin stays the worst one.
+    """
 
     def __init__(self, slack: float):
         self.slack = slack
@@ -80,9 +99,9 @@ class _Margins:
 
     def add(self, constraint: str, k: int, l: Optional[int], margin: float,
             witness: dict) -> None:
-        if margin < self.worst:
+        if margin < self.worst or math.isnan(margin):
             self.worst = margin
-        if margin < -self.slack:
+        if not margin >= -self.slack:
             self.violations.append(Violation(constraint, k, l, float(margin), witness))
 
     def report(self) -> VerificationReport:
@@ -220,7 +239,7 @@ class BandStats:
     meets_profit_target: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -237,7 +256,7 @@ class OutOfBandStats:
     min_saving: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -248,7 +267,7 @@ class MarketSimReport:
     out_of_band: Optional[OutOfBandStats]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _null_non_finite(asdict(self))
 
 
 def _savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",

@@ -1,6 +1,7 @@
 """Config parsing and the command line front end."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -147,6 +148,8 @@ class TestLoadConfig:
         csv.write_text("\n".join(f"{x},{2.2 * np.log1p(x)}" for x in xs))
         payload = json.loads(json.dumps(MENU_CONFIG))
         payload["budgets"][0] = {"family": "tabulated", "csv": "budget.csv"}
+        # the table covers [0, 5], so the search window must too
+        payload.update(s_search_max=5.0, s_probe_max=5.0)
         config = load_config(write_config(tmp_path, payload))
         assert config.menu.budgets[0].value(1.0) == pytest.approx(
             2.2 * np.log(2.0), abs=1e-4)
@@ -662,6 +665,85 @@ class TestCliErrorContract:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ConfigError"
         assert message in error["message"]
+
+    @staticmethod
+    def tabulated_menu(tmp_path, xs, **extra):
+        """Menu config whose three budgets are tables on the knots ``xs``."""
+        payload = edited(MENU_CONFIG, extra)
+        for i in range(3):
+            csv = tmp_path / f"budget{i}.csv"
+            csv.write_text("\n".join(f"{x},{2.2 * (i + 1) * np.log1p(x)}"
+                                     for x in xs))
+            payload["budgets"][i] = {"family": "tabulated", "csv": csv.name}
+        return write_config(tmp_path, payload)
+
+    def test_menu_domains_checked_at_load_by_every_command(self, tmp_path):
+        # the tables end at 200, the default search window at 1e6
+        config = self.tabulated_menu(tmp_path, np.linspace(0.0, 200.0, 401))
+        errors = [self.error_of(run_module(
+            [command, config, "--out", str(tmp_path / command), "--quiet"]), 2)
+            for command in ("check", "menu")]
+        assert errors[0] == errors[1]
+        assert errors[0]["type"] == "ScenarioError"
+        assert errors[0]["message"] == ("budgets[0] domain [0, 200] does not "
+                                        "cover the search window [0, 1e+06]")
+        covered = self.tabulated_menu(tmp_path, np.linspace(0.0, 200.0, 401),
+                                      s_search_max=200.0)
+        assert run(["menu", covered, "--out", str(tmp_path / "ok"),
+                    "--quiet"]) == 0
+
+    def test_function_undefined_at_origin_rejected_at_load(self, tmp_path):
+        config = self.tabulated_menu(tmp_path, np.linspace(0.5, 200.0, 400),
+                                     s_search_max=200.0)
+        with pytest.raises(ConfigError, match=r"budgets\[0\] domain \[0\.5, 200\]"):
+            load_config(config)
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("verify", lambda d: d.pop("entries"),
+         "solution.entries: missing required field"),
+        ("verify", lambda d: d["entries"][0].update(p="x"),
+         "entries[0].p: expected a number"),
+        ("verify", lambda d: d["entries"][1].update(p=math.nan),
+         "entries[1].p: must be finite"),
+        ("simulate", lambda d: d["entries"][0].update(theta=math.inf),
+         "entries[0].theta: must be finite"),
+        ("verify", lambda d: (d["entries"].pop(), d["deltas"].pop()),
+         "entries: expected 3 entries, one per quality"),
+        ("verify", lambda d: d["entries"][0].update(window=[1.0]),
+         "entries[0].window: expected two numbers"),
+        ("simulate", lambda d: d.update(deltas=[0.1]),
+         "deltas: expected 3 numbers, one per quality"),
+    ], ids=["no_entries", "string_price", "nan_price", "infinite_theta",
+            "missing_entry", "short_window", "short_deltas"])
+    def test_malformed_solution_body_names_field(self, tmp_path, command,
+                                                 edit, message):
+        config = write_config(tmp_path, PROFILE_CONFIG)
+        assert run(["profile", config, "--out", str(tmp_path / "s"),
+                    "--quiet"]) == 0
+        stored = json.loads((tmp_path / "s" / "profile.json").read_text())
+        edit(stored)
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(stored))
+        error = self.error_of(run_module(
+            [command, config, str(solution), "--out", str(tmp_path / "o"),
+             "--quiet"]), 2)
+        assert error["type"] == "ConfigError"
+        assert message in error["message"]
+
+    def test_overflowed_saving_written_as_null(self, tmp_path, capsys):
+        config = write_config(tmp_path, PROFILE_CONFIG)
+        assert run(["profile", config, "--out", str(tmp_path / "s"),
+                    "--quiet"]) == 0
+        stored = json.loads((tmp_path / "s" / "profile.json").read_text())
+        stored["entries"][0]["p"] = 1e308
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(stored))
+        out = tmp_path / "o"
+        assert run(["simulate", config, str(solution), "--out", str(out),
+                    "--samples", "200", "--quiet"]) == 0
+        band = json.loads((out / "simulation.json").read_text())["bands"][0]
+        assert band["mean_saving"] is None
+        assert capsys.readouterr().err == ""
 
     def test_check_on_tradeoff_config(self, tmp_path, capsys):
         config = write_config(tmp_path, TRADEOFF_CONFIG)

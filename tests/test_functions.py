@@ -1,5 +1,6 @@
 """Function families: values, derivatives, partials, condition checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from contractpricing import (
     DomainError,
     LinearFunction,
     LogFunction,
+    MenuScenario,
     PowerFunction,
     ScaledFunction,
     ScenarioError,
@@ -168,14 +170,12 @@ class TestTariffPartials:
 class TestMenuRegularity:
     def test_reference_family_passes(self):
         scn = make_log_menu_scenario(d_b=2.2, d_c=1.0, n_types=3)
-        report = check_menu_regularity(scn.budgets, scn.cost, scn.profit,
-                                       (0.0, 100.0), 512)
+        report = check_menu_regularity(scn)
         assert report.passed, [c.cid for c in report.failures]
 
     def test_small_budget_fails_entry(self):
         scn = make_log_menu_scenario(d_b=0.5, d_c=1.0, n_types=1)
-        report = check_menu_regularity(scn.budgets, scn.cost, scn.profit,
-                                       (0.0, 100.0), 512)
+        report = check_menu_regularity(scn)
         entry = report.check("a3.entry_exists")
         assert not entry.passed
         assert entry.witness is None
@@ -183,14 +183,14 @@ class TestMenuRegularity:
 
     def test_linear_cost_is_convex(self):
         scn = make_log_menu_scenario()
-        report = check_menu_regularity(scn.budgets, scn.cost, scn.profit)
+        report = check_menu_regularity(scn)
         assert report.check("a1.cost_convex").passed
 
     def test_single_crossing_flagged_for_equal_budgets(self):
         budgets = (LogFunction(2.2), LogFunction(2.2))
         cost = LinearFunction(1.0)
-        report = check_menu_regularity(budgets, cost,
-                                       ScaledFunction(cost, 0.1))
+        report = check_menu_regularity(
+            MenuScenario(budgets, cost, ScaledFunction(cost, 0.1)))
         assert not report.check("a2.single_crossing_1_2").passed
 
     def test_budget_ordering_consequence(self):
@@ -204,18 +204,16 @@ class TestMenuRegularity:
 
     def test_failure_stable_under_grid_refinement(self):
         scn = make_log_menu_scenario(d_b=0.5, d_c=1.0, n_types=1)
-        coarse = check_menu_regularity(scn.budgets, scn.cost, scn.profit,
-                                       (0.0, 100.0), 512)
-        fine = check_menu_regularity(scn.budgets, scn.cost, scn.profit,
-                                     (0.0, 100.0), 1024)
+        coarse = check_menu_regularity(scn)
+        fine = check_menu_regularity(dataclasses.replace(scn, grid_n=1024))
         assert not coarse.check("a3.entry_exists").passed
         assert not fine.check("a3.entry_exists").passed
 
     def test_zero_profit_target_accepted(self):
         cost = LinearFunction(1.0)
         scn = make_log_menu_scenario(profit_factor=0.0)
-        report = check_menu_regularity(scn.budgets, cost,
-                                       ScaledFunction(cost, 0.0))
+        report = check_menu_regularity(
+            MenuScenario(scn.budgets, cost, ScaledFunction(cost, 0.0)))
         assert report.check("a1.profit_nondecreasing").passed
         assert report.passed
 
@@ -255,5 +253,4 @@ class TestScanBounds:
     def test_menu_regularity_grid_n_bound(self):
         scn = make_log_menu_scenario()
         with pytest.raises(ScenarioError, match="grid_n"):
-            check_menu_regularity(scn.budgets, scn.cost, scn.profit,
-                                  (0.0, 100.0), 10 ** 20)
+            check_menu_regularity(dataclasses.replace(scn, grid_n=10 ** 20))

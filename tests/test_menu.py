@@ -1,5 +1,6 @@
 """Menu solver: feasible sets, maximizers, construction and failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,10 @@ from contractpricing import (
     PowerFunction,
     RegularityError,
     ScaledFunction,
+    ScenarioError,
+    TabulatedFunction,
     UnboundedFeasibleSetError,
+    check_menu_regularity,
     feasible_interval,
     maximize_net,
     solve_menu,
@@ -107,6 +111,38 @@ class TestMaximizeNet:
 
         with pytest.raises(BracketError):
             maximize_net(1, Mischief())
+
+
+class TestMenuDomains:
+    """MenuScenario.validate owns the rule that every function is defined
+    on [0, s_search_max]; the regularity scan relies on it."""
+
+    def test_cost_domain_must_cover_search_window(self, log_menu_scenario):
+        cost = TabulatedFunction([0.0, 10.0], [0.0, 10.0])
+        scenario = dataclasses.replace(log_menu_scenario, cost=cost)
+        message = r"cost domain \[0, 10\] does not cover the search window \[0, 1e\+06\]"
+        with pytest.raises(ScenarioError, match=message):
+            scenario.validate()
+        with pytest.raises(ScenarioError, match=message):
+            check_menu_regularity(scenario)
+        report = check_menu_regularity(
+            dataclasses.replace(scenario, s_search_max=10.0, s_probe_max=10.0))
+        assert report.check("a1.cost_zero_at_origin").passed
+
+    def test_infinite_search_window_rejected(self):
+        # a budget that outgrows the cost keeps the boundedness scan
+        # doubling its probe; with no finite cap it never stopped
+        cost = LinearFunction(1.0)
+        scenario = MenuScenario((LinearFunction(2.0),), cost,
+                                ScaledFunction(cost, 0.1), s_search_max=math.inf)
+        with pytest.raises(ScenarioError, match="s_search_max must be positive and finite"):
+            check_menu_regularity(scenario)
+
+    def test_profit_undefined_at_origin(self, log_menu_scenario):
+        profit = TabulatedFunction([1e-3, 1e6], [1e-4, 1e5])
+        scenario = dataclasses.replace(log_menu_scenario, profit=profit)
+        with pytest.raises(ScenarioError, match=r"profit domain \[0\.001, 1e\+06\]"):
+            solve_menu(scenario)
 
 
 class TestSolveMenu:

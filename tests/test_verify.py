@@ -1,6 +1,7 @@
 """Verifier: constraint certification, market simulation, quadrature oracle."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from contractpricing import (
     verify_menu,
     verify_profile,
 )
+from contractpricing.serialize import dumps_canonical, write_csv
 from conftest import (
     make_log_menu_scenario,
     make_separable_profile_scenario,
@@ -116,6 +118,39 @@ class TestVerifyProfile:
             saving = np.asarray(scn.tariff.value(grid, scn.qualities[k])) \
                 - profile.prices[k]
             assert np.all(np.diff(saving) >= -1e-12)
+
+
+class TestFailClosed:
+    """A NaN margin is a violation, never a pass."""
+
+    def test_menu_with_nan_price_fails(self, log_menu_scenario):
+        menu = solve_menu(log_menu_scenario)
+        tampered = dataclasses.replace(
+            menu, prices=(math.nan,) + menu.prices[1:])
+        report = verify_menu(tampered, log_menu_scenario)
+        assert not report.passed
+        assert {(v.constraint, v.k) for v in report.violations} >= {
+            ("IR.budget", 1), ("IR.profit", 1)}
+        assert math.isnan(report.worst_margin)
+        written = json.loads(dumps_canonical(report.to_dict()))
+        assert written["worst_margin"] is None
+        assert {v["margin"] for v in written["violations"]} == {None}
+
+    def test_only_report_fields_map_non_finite_to_null(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_canonical({"p": math.nan})
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(tmp_path / "t.csv", ["p"], [[math.inf]])
+
+    def test_profile_with_nan_prices_fails(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        tampered = dataclasses.replace(
+            profile, prices=(math.nan,) * len(profile.prices))
+        report = verify_profile(tampered, bilinear_profile_scenario)
+        assert not report.passed
+        assert {v.constraint for v in report.violations} == {
+            "IR.budget", "IR.profit", "IC", "profit_constraint"}
+        assert math.isnan(report.worst_margin)
 
 
 class TestSimulateMarket:
