@@ -27,8 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: default slack below which a signed margin counts as a violation
 DEFAULT_SLACK = 1e-9
 
-#: tie tolerance of the simulated users' argmax choice
+#: tie tolerance of the simulated users' choice
 CHOICE_TIE_TOL = 1e-9
+
+#: users the simulator evaluates at once: a block's savings at every
+#: quality stay in cache, and the simulation's memory does not grow with
+#: the number of qualities
+SIM_BLOCK = 1 << 14
 
 # upper bounds of the sizing knobs, checked before anything is allocated
 MAX_PROBES_PER_BAND = 1 << 16
@@ -180,28 +185,31 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     m = scenario.margins.m
     gaps = scenario.margins.gaps
     F = scenario.tariff.value
+    qualities = np.asarray(s)[:, None]
+    prices = np.asarray(profile.prices)[:, None]
     acc = _Margins(slack)
 
     for k in range(n):
         theta_k, p_k = profile.demands[k], profile.prices[k]
         probes = _band_probes(theta_k, m[k], probes_per_band)
-        values_k = np.asarray(F(probes, s[k]), dtype=float)
+        # every quality (rows) at every probe (columns) in one call
+        values = F(probes[None, :], qualities)
+        savings = values - prices
 
-        ir = values_k - p_k
-        worst = int(np.argmin(ir))
-        acc.add("IR.budget", k + 1, None, float(ir[worst]),
-                {"theta": float(probes[worst]), "tariff": float(values_k[worst]),
+        own_saving = savings[k]
+        worst = int(np.argmin(own_saving))
+        acc.add("IR.budget", k + 1, None, float(own_saving[worst]),
+                {"theta": float(probes[worst]), "tariff": float(values[k, worst]),
                  "price": p_k})
 
         floor = float(scenario.cost.value(s[k])) + b[k]
         acc.add("IR.profit", k + 1, None, p_k - floor,
                 {"price": p_k, "cost_plus_target": floor})
 
-        own_saving = values_k - p_k
         for l in range(n):
             if l == k:
                 continue
-            other_saving = np.asarray(F(probes, s[l]), dtype=float) - profile.prices[l]
+            other_saving = savings[l]
             diff = own_saving - other_saving
             worst = int(np.argmin(diff))
             acc.add("IC", k + 1, l + 1, float(diff[worst]),
@@ -270,17 +278,29 @@ class MarketSimReport:
         return _null_non_finite(asdict(self))
 
 
-def _savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
-             draws: np.ndarray) -> np.ndarray:
-    """Saving F(theta, s_l) - p_l of every draw (columns) at every quality (rows)."""
-    return np.stack([np.asarray(scenario.tariff.value(draws, s_l), dtype=float) - p_l
-                     for s_l, p_l in zip(scenario.qualities, profile.prices)])
+def _block_savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
+                   draws: np.ndarray):
+    """Yield ``(block, savings)`` for each block of ``SIM_BLOCK`` draws:
+    the saving F(theta, s_l) - p_l of every draw in the block (columns)
+    at every quality (rows), from one checked tariff call."""
+    qualities = np.asarray(scenario.qualities)[:, None]
+    prices = np.asarray(profile.prices)[:, None]
+    for start in range(0, draws.size, SIM_BLOCK):
+        block = slice(start, start + SIM_BLOCK)
+        savings = scenario.tariff.value(draws[None, block], qualities)
+        savings -= prices
+        yield block, savings
 
 
-def _choices(savings: np.ndarray) -> np.ndarray:
-    """Argmax over qualities with ties broken toward the lower index."""
-    best = savings.max(axis=0)
-    return np.asarray(savings >= best - CHOICE_TIE_TOL).argmax(axis=0)
+def _picks(savings: np.ndarray, k: int) -> np.ndarray:
+    """Whether each user (column) picks quality k: the lowest index whose
+    saving is within ``CHOICE_TIE_TOL`` of the best."""
+    top = savings >= savings.max(axis=0) - CHOICE_TIE_TOL
+    picked = top[k] & ~top[:k].any(axis=0)
+    if k == 0:
+        # a user with no saving near the best (a NaN saving) falls to index 0
+        picked |= ~top.any(axis=0)
+    return picked
 
 
 def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
@@ -294,6 +314,9 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     draws over the complement) and checked for affordability only.
     Sampling is deterministic in ``rng_seed``: each band uses an
     independent substream derived from the seed.
+
+    A band's draws are evaluated in blocks of ``SIM_BLOCK`` users, so
+    memory is O(``samples_per_band``) whatever the number of qualities.
     """
     check_size("samples_per_band", samples_per_band, 1, MAX_SAMPLES_PER_BAND)
     if rng_seed < 0:
@@ -308,16 +331,18 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
         rng = np.random.default_rng([int(rng_seed), k])
         lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
         draws = rng.uniform(lo, hi, samples_per_band)
-        savings = _savings(profile, scenario, draws)
-        chosen = _choices(savings)
-        own = savings[k]
+        own = np.empty(samples_per_band)
+        intended = 0
+        for block, savings in _block_savings(profile, scenario, draws):
+            own[block] = savings[k]
+            intended += int(np.count_nonzero(_picks(savings, k)))
         profit = profile.prices[k] - float(scenario.cost.value(s[k]))
         bands.append(BandStats(
             k=k + 1,
             theta=profile.demands[k],
             quality=s[k],
             price=profile.prices[k],
-            fraction_intended=float(np.mean(chosen == k)),
+            fraction_intended=intended / samples_per_band,
             min_saving=float(np.min(own)),
             mean_saving=float(np.mean(own)),
             provider_profit=profit,
@@ -368,8 +393,9 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
     # clamped to the first/last entry beyond the nominal range
     assign = np.clip(np.searchsorted(profile.demands, draws, side="right") - 1,
                      0, n - 1)
-    savings = _savings(profile, scenario, draws)
-    assigned_saving = savings[assign, np.arange(n_samples)]
+    assigned_saving = np.empty(n_samples)
+    for block, savings in _block_savings(profile, scenario, draws):
+        assigned_saving[block] = savings[assign[block], np.arange(savings.shape[1])]
     return OutOfBandStats(
         samples=n_samples,
         fraction_affordable=float(np.mean(assigned_saving >= 0.0)),

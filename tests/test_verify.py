@@ -1,19 +1,25 @@
 """Verifier: constraint certification, market simulation, quadrature oracle."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contractpricing import (
+    BilinearTariff,
+    DomainError,
     LogFunction,
     MarginSpec,
     PowerFunction,
     QualityPriceMenu,
     ScenarioError,
     SeparableTariff,
+    TabulatedTariff,
     crosscheck_windows,
     build_profile,
     simulate_market,
@@ -22,7 +28,15 @@ from contractpricing import (
     verify_profile,
 )
 from contractpricing.serialize import dumps_canonical, write_csv
+from contractpricing.verify import (
+    CHOICE_TIE_TOL,
+    SIM_BLOCK,
+    BandStats,
+    MarketSimReport,
+    OutOfBandStats,
+)
 from conftest import (
+    make_bilinear_profile_scenario,
     make_log_menu_scenario,
     make_separable_profile_scenario,
 )
@@ -196,6 +210,188 @@ class TestSimulateMarket:
         assert oob is not None
         assert oob.samples == 400
         assert oob.fraction_affordable == 1.0
+
+
+def oracle_simulate(profile, scenario, samples_per_band, rng_seed):
+    """The simulator as it was before blockwise evaluation: one tariff call
+    per quality, the rows stacked into a qualities x samples matrix, and
+    each user's choice from an argmax over the qualities."""
+
+    def savings_of(draws):
+        return np.stack([np.asarray(scenario.tariff.value(draws, s_l), dtype=float) - p_l
+                         for s_l, p_l in zip(scenario.qualities, profile.prices)])
+
+    def choices(savings):
+        best = savings.max(axis=0)
+        return np.asarray(savings >= best - CHOICE_TIE_TOL).argmax(axis=0)
+
+    n = len(profile.demands)
+    s, m, b = scenario.qualities, scenario.margins.m, scenario.margins.b
+    bands = []
+    for k in range(n):
+        rng = np.random.default_rng([int(rng_seed), k])
+        lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
+        savings = savings_of(rng.uniform(lo, hi, samples_per_band))
+        own = savings[k]
+        profit = profile.prices[k] - float(scenario.cost.value(s[k]))
+        bands.append(BandStats(
+            k=k + 1, theta=profile.demands[k], quality=s[k], price=profile.prices[k],
+            fraction_intended=float(np.mean(choices(savings) == k)),
+            min_saving=float(np.min(own)), mean_saving=float(np.mean(own)),
+            provider_profit=profit, profit_target=b[k],
+            meets_profit_target=bool(profit >= b[k] - 1e-12)))
+
+    box = scenario.box
+    segments, cursor = [], box.theta_low
+    for k in range(n):
+        lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
+        if lo > cursor:
+            segments.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if box.theta_up > cursor:
+        segments.append((cursor, box.theta_up))
+    lengths = np.array([hi - lo for lo, hi in segments], dtype=float)
+    total = float(lengths.sum()) if segments else 0.0
+    out = None
+    if total > 0.0:
+        u = np.random.default_rng([int(rng_seed), n]).uniform(0.0, total, samples_per_band)
+        cum = np.cumsum(lengths)
+        idx = np.clip(np.searchsorted(cum, u, side="right"), 0, len(segments) - 1)
+        seg_lo = np.array([seg[0] for seg in segments])
+        draws = seg_lo[idx] + (u - (cum[idx] - lengths[idx]))
+        assign = np.clip(np.searchsorted(profile.demands, draws, side="right") - 1,
+                         0, n - 1)
+        assigned = savings_of(draws)[assign, np.arange(samples_per_band)]
+        out = OutOfBandStats(samples=samples_per_band,
+                             fraction_affordable=float(np.mean(assigned >= 0.0)),
+                             min_saving=float(np.min(assigned)))
+    return MarketSimReport(samples_per_band=samples_per_band, rng_seed=int(rng_seed),
+                           bands=tuple(bands), out_of_band=out)
+
+
+def tabulated_profile_scenario():
+    """The reference bilinear scenario with its tariff sampled on a grid."""
+    scenario = make_bilinear_profile_scenario()
+    thetas = np.linspace(1.0 / 3.0, 1.0, 9)
+    ss = np.linspace(1.0, 3.0, 5)
+    return dataclasses.replace(
+        scenario, tariff=TabulatedTariff(thetas, ss, 4.0 * np.outer(thetas, ss)))
+
+
+def tie_case():
+    """Zero-width bands of F = 4 theta s at demands and prices that are
+    exact in binary.  At theta_1 qualities 1 and 2 save exactly 0.25; at
+    theta_3 quality 3 saves half a tolerance more than quality 2.  The
+    lower index must win both ties."""
+    scenario = dataclasses.replace(make_bilinear_profile_scenario(),
+                                   margins=MarginSpec(b=(0.1, 0.2, 0.3),
+                                                      m=(0.0, 0.0, 0.0)))
+    profile = dataclasses.replace(
+        build_profile(make_bilinear_profile_scenario()),
+        demands=(0.375, 0.5, 0.75),
+        prices=(1.25, 2.75, 5.75 - 0.5 * CHOICE_TIE_TOL))
+    return profile, scenario
+
+
+class NaNAboveTariff(BilinearTariff):
+    """A bilinear tariff that returns NaN above a demand cut."""
+
+    def __init__(self, d_p, cut):
+        super().__init__(d_p)
+        self.cut = cut
+
+    def _value(self, th, sv):
+        return np.where(th > self.cut, np.nan, super()._value(th, sv))
+
+
+def nan_case():
+    scenario = make_bilinear_profile_scenario()
+    profile = build_profile(scenario)
+    cut = profile.demands[0]
+    return profile, dataclasses.replace(scenario, tariff=NaNAboveTariff(4.0, cut))
+
+
+def certified(make_scenario):
+    def case():
+        scenario = make_scenario()
+        return build_profile(scenario), scenario
+    return case
+
+
+def tampered():
+    profile, scenario = certified(make_bilinear_profile_scenario)()
+    prices = list(profile.prices)
+    prices[1] -= 0.5
+    return dataclasses.replace(profile, prices=tuple(prices)), scenario
+
+
+def power_h_scenario():
+    return dataclasses.replace(
+        make_separable_profile_scenario(),
+        tariff=SeparableTariff(PowerFunction(1.0, 2.0), PowerFunction(1.0, 1.5)))
+
+
+ORACLE_CASES = {
+    "bilinear": certified(make_bilinear_profile_scenario),
+    "separable_power_g": certified(make_separable_profile_scenario),
+    "separable_power_h": certified(power_h_scenario),
+    "tabulated": certified(tabulated_profile_scenario),
+    "tampered": tampered,
+    "tie": tie_case,
+    "nan_saving": nan_case,
+}
+
+ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 10 ** 5)
+
+
+class TestSimulatorOracle:
+    """The blockwise simulator reports exactly what the per-quality
+    ``np.stack`` + ``argmax`` simulator reported."""
+
+    @pytest.mark.parametrize("samples", ORACLE_SAMPLES)
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_oracle(self, case, samples):
+        profile, scenario = ORACLE_CASES[case]()
+        report = simulate_market(profile, scenario, samples, 5)
+        assert report.to_dict() == oracle_simulate(profile, scenario, samples, 5).to_dict()
+
+    def test_lower_index_wins_ties(self):
+        report = simulate_market(*tie_case(), SIM_BLOCK + 1, 5)
+        assert [band.fraction_intended for band in report.bands] == [1.0, 1.0, 0.0]
+
+    def test_band_beyond_tabulated_domain_raises_as_oracle(self):
+        profile, scenario = certified(tabulated_profile_scenario)()
+        theta_up = scenario.tariff.theta_domain[1]
+        stored = dataclasses.replace(
+            profile, demands=profile.demands[:-1] + (theta_up - 0.5 * scenario.margins.m[-1],))
+        with pytest.raises(DomainError) as oracle_error:
+            oracle_simulate(stored, scenario, 3 * SIM_BLOCK, 5)
+        with pytest.raises(DomainError) as error:
+            simulate_market(stored, scenario, 3 * SIM_BLOCK, 5)
+        assert str(error.value) == str(oracle_error.value)
+
+
+def load_bench_scenarios():
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_simulation_memory_independent_of_quality_count():
+    """Ten float arrays of 10**6 bound one simulation of 8 qualities; the
+    qualities x samples savings matrix alone would take 61 MiB."""
+    scenarios = load_bench_scenarios()
+    scenario = scenarios.profile_scenario(np.random.default_rng(3), "bilinear", 8, 0.6)
+    profile = build_profile(scenario)
+    tracemalloc.start()
+    try:
+        simulate_market(profile, scenario, 10 ** 6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestCrosscheckWindows:
