@@ -329,7 +329,8 @@ class TabulatedTariff(TariffFunction):
         self.cross_slopes = np.diff(self.theta_slopes, axis=1) / ds
 
     def _value(self, th, sv):
-        th, sv = np.broadcast_arrays(np.asarray(th, float), np.asarray(sv, float))
+        # each axis is looked up before broadcasting: a (1, B) x (n, 1)
+        # call runs B + n lookups, not 2 n B
         (i, wt), (j, ws) = _cell(self.thetas, th), _cell(self.ss, sv)
         v = self.values_grid
         return ((1 - wt) * (1 - ws) * v[i, j]
@@ -338,7 +339,6 @@ class TabulatedTariff(TariffFunction):
                 + wt * ws * v[i + 1, j + 1])
 
     def _partials(self, th, sv):
-        th, sv = np.broadcast_arrays(th, sv)
         (i, wt), (j, ws) = _cell(self.thetas, th), _cell(self.ss, sv)
         # on an interior knot, il or jl is the cell on the other side
         il, jl = i - ((wt == 0) & (i > 0)), j - ((ws == 0) & (j > 0))
@@ -452,8 +452,8 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     """Certify the assumptions of the quality-price menu construction.
 
     Validates ``scenario`` first, so every function is defined on
-    [0, s_search_max].  Conditions, each sampled on a ``grid_n``-point
-    grid over (0, s_probe_max]:
+    [0, s_search_max] and the scan evaluates them unchecked.  Conditions,
+    each sampled on a ``grid_n``-point grid over (0, s_probe_max]:
 
     * a1: cost strictly increasing and convex, profit target nondecreasing
       and convex, both vanish at the origin.  (A zero profit target is
@@ -477,7 +477,7 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     checks: list[ConditionCheck] = []
 
     def zero_at_origin(cid, func):
-        v0 = abs(float(func.value(0.0)))
+        v0 = abs(float(func._value(np.asarray(0.0))))
         checks.append(ConditionCheck(cid, v0 <= 1e-12, -v0, 0.0 if v0 > 1e-12 else None,
                                      "value at 0"))
 
@@ -501,8 +501,8 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
                                      None if ok else witness,
                                      "second differences, %s" % ("convex" if convex else "concave")))
 
-    c_vals = np.asarray(cost.value(grid))
-    b_vals = np.asarray(profit.value(grid))
+    c_vals = np.asarray(cost._value(grid))
+    b_vals = np.asarray(profit._value(grid))
     zero_at_origin("a1.cost_zero_at_origin", cost)
     monotone("a1.cost_strictly_increasing", c_vals, strict=True)
     curvature("a1.cost_convex", c_vals, convex=True)
@@ -511,13 +511,13 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     curvature("a1.profit_convex", b_vals, convex=True)
 
     for idx, p in enumerate(budgets, start=1):
-        p_vals = np.asarray(p.value(grid))
+        p_vals = np.asarray(p._value(grid))
         zero_at_origin(f"a2.budget{idx}_zero_at_origin", p)
         monotone(f"a2.budget{idx}_strictly_increasing", p_vals, strict=True)
         curvature(f"a2.budget{idx}_concave", p_vals, convex=False)
     for idx in range(len(budgets) - 1):
-        d_lo = np.asarray(budgets[idx].derivative(grid))
-        d_hi = np.asarray(budgets[idx + 1].derivative(grid))
+        d_lo = np.asarray(budgets[idx]._derivative(grid))
+        d_hi = np.asarray(budgets[idx + 1]._derivative(grid))
         margin, witness = _min_with_witness(d_hi - d_lo, grid)
         ok = margin >= CROSSING_MARGIN
         checks.append(ConditionCheck(f"a2.single_crossing_{idx + 1}_{idx + 2}",
@@ -528,14 +528,14 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     # that small feasible regions of the lowest type are not missed
     geo = np.geomspace(hi * 1e-9, hi, 64)
     scan = np.unique(np.concatenate([grid, geo]))
-    cb_scan = np.asarray(cost.value(scan)) + np.asarray(profit.value(scan))
-    entry_gap = np.asarray(budgets[0].value(scan)) - cb_scan
+    cb_scan = np.asarray(cost._value(scan)) + np.asarray(profit._value(scan))
+    entry_gap = np.asarray(budgets[0]._value(scan)) - cb_scan
     k = int(np.argmax(entry_gap))
     ok = bool(entry_gap[k] >= 0.0)
     checks.append(ConditionCheck("a3.entry_exists", ok, float(entry_gap[k]),
                                  float(scan[k]) if ok else None,
                                  "max of P_1 - (C+B); witness is a feasible x_1"))
-    top_gap = cb_scan - np.asarray(budgets[-1].value(scan))
+    top_gap = cb_scan - np.asarray(budgets[-1]._value(scan))
     k = int(np.argmax(top_gap))
     best_gap, best_witness = float(top_gap[k]), float(scan[k])
     if best_gap <= 0.0:
@@ -543,8 +543,9 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
         # beyond the probe window
         y = 2.0 * hi
         while y <= scenario.s_search_max:
-            gap = (float(cost.value(y)) + float(profit.value(y))
-                   - float(budgets[-1].value(y)))
+            at = np.asarray(y)
+            gap = (float(cost._value(at)) + float(profit._value(at))
+                   - float(budgets[-1]._value(at)))
             if gap > best_gap:
                 best_gap, best_witness = gap, y
             if gap > 0.0:
@@ -566,7 +567,9 @@ def check_marginal_budget(tariff: TariffFunction,
 
     Scans a ``grid_n`` x ``grid_n`` grid of the domain box and compares
     the worst-case (over demand) marginal willingness to pay F_s against
-    the marginal cost C'(s) at every quality.  Report-valued.
+    the marginal cost C'(s) at every quality.  A NaN margin at any
+    quality fails the check, with that point as the witness.
+    Report-valued.
     """
     check_size("grid_n", grid_n, 16, MAX_GRID_N)
     box.validate()
@@ -580,9 +583,11 @@ def check_marginal_budget(tariff: TariffFunction,
         f_s = np.asarray(f_s)
         k = int(np.argmin(f_s))
         margin = float(f_s[k]) - float(c_s)
-        if margin < worst:
+        if margin < worst or math.isnan(margin):
             worst = margin
             witness = (float(theta_grid[k]), float(s))
+            if math.isnan(margin):
+                break  # fail closed at the first NaN point
     ok = worst >= -1e-12
     check = ConditionCheck("marginal_budget", bool(ok), worst,
                            witness[0] if not ok else None,

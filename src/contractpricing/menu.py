@@ -12,6 +12,13 @@ certifies every menu through the independent verifier before returning it.
 All searches use plain bisection: only continuity and monotonicity of
 the derivative are guaranteed, and robustness beats speed at these
 problem sizes.
+
+Each entry point validates the scenario once: :meth:`MenuScenario.validate`
+proves that every budget, the cost and the profit target are defined on
+``[0, s_search_max]``, and every search point lies in that window.  The
+searches and the per-type price and net then evaluate through the
+unchecked ``MenuScenario._net``/``_net_derivative``.  The public
+``net``/``net_derivative`` and the verifier keep their domain checks.
 """
 
 from __future__ import annotations
@@ -95,6 +102,17 @@ class MenuScenario:
                 - np.asarray(self.cost.derivative(s))
                 - np.asarray(self.profit.derivative(s)))
 
+    def _net(self, i: int, s):
+        """Unchecked :meth:`net`, for points of a validated window."""
+        s = np.asarray(s, dtype=float)
+        return (self.budgets[i - 1]._value(s) - self.cost._value(s)
+                - self.profit._value(s))
+
+    def _net_derivative(self, i: int, s):
+        s = np.asarray(s, dtype=float)
+        return (self.budgets[i - 1]._derivative(s) - self.cost._derivative(s)
+                - self.profit._derivative(s))
+
     def check_regularity(self):
         return check_menu_regularity(self)
 
@@ -141,10 +159,11 @@ def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
     degenerate interval (0, 0) when the net saving is negative everywhere
     on (0, s_search_max].
     """
+    scenario.validate()
     _check_type_index(i, scenario)
     cap = scenario.s_search_max
     candidates = np.geomspace(cap * 1e-15, cap, 256)
-    vals = scenario.net(i, candidates)
+    vals = scenario._net(i, candidates)
 
     pos = np.flatnonzero(vals > 0.0)
     if pos.size == 0:
@@ -162,7 +181,7 @@ def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
 
     while hi - lo > ROOT_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if float(scenario.net(i, mid)) >= 0.0:
+        if float(scenario._net(i, mid)) >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -176,6 +195,7 @@ def maximize_net(i: int, scenario: MenuScenario) -> float:
     derivative f'_i on the feasible interval, found by bisection down to
     a bracket width of ``MAXIMIZER_TOL * max(1, a_i)``.
     """
+    scenario.validate()
     _check_type_index(i, scenario)
     _, a_i = feasible_interval(i, scenario)
     if a_i <= 0.0:
@@ -184,11 +204,11 @@ def maximize_net(i: int, scenario: MenuScenario) -> float:
             "a nonnegative net saving")
 
     lo = min(1e-9, 1e-9 * a_i)
-    if float(scenario.net_derivative(i, lo)) <= 0.0:
+    if float(scenario._net_derivative(i, lo)) <= 0.0:
         raise NoInteriorMaximizerError(
             f"net saving of type {i} is nonincreasing at 0+; the maximum "
             "sits at zero quality")
-    if float(scenario.net_derivative(i, a_i)) >= 0.0:
+    if float(scenario._net_derivative(i, a_i)) >= 0.0:
         raise BracketError(
             f"net-saving derivative of type {i} does not change sign on "
             f"(0, {a_i:g}]")
@@ -197,7 +217,7 @@ def maximize_net(i: int, scenario: MenuScenario) -> float:
     tol = MAXIMIZER_TOL * max(1.0, a_i)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if float(scenario.net_derivative(i, mid)) > 0.0:
+        if float(scenario._net_derivative(i, mid)) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -223,10 +243,11 @@ def solve_menu(scenario: MenuScenario) -> QualityPriceMenu:
     nets: list[float] = []
     for i in range(1, scenario.n_types + 1):
         s_i = maximize_net(i, scenario)
-        p_i = float(scenario.cost.value(s_i)) + float(scenario.profit.value(s_i))
+        s = np.asarray(s_i)
+        p_i = float(scenario.cost._value(s)) + float(scenario.profit._value(s))
         qualities.append(s_i)
         prices.append(p_i)
-        nets.append(float(scenario.net(i, s_i)))
+        nets.append(float(scenario._net(i, s_i)))
 
     for k in range(1, scenario.n_types):
         if not (qualities[k] > qualities[k - 1] and prices[k] > prices[k - 1]):

@@ -294,13 +294,10 @@ def _block_savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
 
 def _picks(savings: np.ndarray, k: int) -> np.ndarray:
     """Whether each user (column) picks quality k: the lowest index whose
-    saving is within ``CHOICE_TIE_TOL`` of the best."""
+    saving is within ``CHOICE_TIE_TOL`` of the best.  A user with a NaN
+    saving has no best and picks no quality."""
     top = savings >= savings.max(axis=0) - CHOICE_TIE_TOL
-    picked = top[k] & ~top[:k].any(axis=0)
-    if k == 0:
-        # a user with no saving near the best (a NaN saving) falls to index 0
-        picked |= ~top.any(axis=0)
-    return picked
+    return top[k] & ~top[:k].any(axis=0)
 
 
 def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",

@@ -1,5 +1,8 @@
 """Shared scenario builders for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,3 +114,12 @@ def grid_argmax(func, lo, hi, n=10_000):
     values = np.asarray(func(grid))
     k = int(np.argmax(values))
     return float(grid[k]), float(values[k])
+
+
+def load_bench_scenarios():
+    """The benchmark's seeded scenario generators, ``bench/scenarios.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

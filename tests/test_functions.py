@@ -244,6 +244,28 @@ class TestMarginalBudget:
         assert check.witness == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("h", [TabulatedFunction([0.0, 1.5, 3.0], [0.0, 1.0, 1.0]),
+                                   LinearFunction(0.0)],
+                             ids=["tabulated_h", "zero_h"])
+    def test_nan_margin_fails_closed(self, h):
+        # g overflows above theta ~ 1.34, and inf * h'(s) = inf * 0 is NaN
+        # wherever h is flat (above s = 1.5, or everywhere for a zero h)
+        tariff = SeparableTariff(PowerFunction(1e308, 2.0), h)
+        theta_grid = np.linspace(1.2, 2.0, 512)
+        s_grid = np.linspace(1.0, 2.0, 512)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_marginal_budget(tariff, LinearFunction(1.0),
+                                           DomainBox(1.2, 2.0, 1.0, 2.0))
+            first_theta = theta_grid[np.isinf(1e308 * theta_grid ** 2)][0]
+        first_s = s_grid[s_grid > 1.5][0] if isinstance(h, TabulatedFunction) else s_grid[0]
+        check = report.check("marginal_budget")
+        assert not check.passed
+        assert math.isnan(check.margin)
+        assert check.to_dict()["margin"] is None
+        assert check.witness == first_theta
+        assert check.detail.endswith(f"(theta={first_theta:g}, s={first_s:g})")
+
+
 class TestScanBounds:
     def test_marginal_budget_grid_n_bound(self):
         with pytest.raises(ScenarioError, match="grid_n"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,20 +17,26 @@ from contractpricing import (
     MenuScenario,
     NoInteriorMaximizerError,
     PowerFunction,
+    QualityPriceMenu,
     RegularityError,
+    ScalarFunction,
     ScaledFunction,
     ScenarioError,
     TabulatedFunction,
     UnboundedFeasibleSetError,
     check_menu_regularity,
     feasible_interval,
+    load_config,
     maximize_net,
     solve_menu,
     verify_menu,
 )
+from contractpricing import functions
+from contractpricing.menu import MAXIMIZER_TOL, ROOT_TOL
 from conftest import (
     bisect_root,
     grid_argmax,
+    load_bench_scenarios,
     log_menu_closed_form,
     make_log_menu_scenario,
 )
@@ -98,19 +105,18 @@ class TestMaximizeNet:
     def test_inconsistent_derivative_is_a_bracket_error(self):
         # net saving changes sign but its reported derivative never does;
         # the maximizer search must fail loudly instead of looping
-        class Mischief:
-            n_types = 1
-            s_search_max = 10.0
-
-            def net(self, i, s):
-                s = np.asarray(s, dtype=float)
+        class Mischief(ScalarFunction):
+            def _value(self, s):
                 return s * (2.0 - s)
 
-            def net_derivative(self, i, s):
-                return np.ones_like(np.asarray(s, dtype=float))
+            def _derivative(self, s):
+                return np.ones_like(s)
 
+        zero = LinearFunction(0.0)
+        scenario = MenuScenario((Mischief(),), zero, zero,
+                                s_search_max=10.0, s_probe_max=10.0)
         with pytest.raises(BracketError):
-            maximize_net(1, Mischief())
+            maximize_net(1, scenario)
 
 
 class TestMenuDomains:
@@ -232,3 +238,154 @@ class TestSolveMenu:
         assert all(b > a for a, b in zip(menu.qualities, menu.qualities[1:]))
         assert all(b > a for a, b in zip(menu.prices, menu.prices[1:]))
         assert all(net >= -1e-12 for net in menu.net_values)
+
+
+# ---------------------------------------------------------------------------
+# the unchecked searches against the checked ones they replaced
+# ---------------------------------------------------------------------------
+
+def checked_feasible_interval(i, scenario):
+    """``feasible_interval`` as it was when every point went through the
+    public, domain-checked ``net`` (its error branches are asserts here)."""
+    cap = scenario.s_search_max
+    candidates = np.geomspace(cap * 1e-15, cap, 256)
+    vals = scenario.net(i, candidates)
+    pos = np.flatnonzero(vals > 0.0)
+    if pos.size == 0:
+        return (0.0, 0.0)
+    first_pos = int(pos[0])
+    neg = np.flatnonzero(vals[first_pos:] < 0.0)
+    assert neg.size > 0
+    hi_idx = first_pos + int(neg[0])
+    lo = float(candidates[hi_idx - 1])
+    hi = float(candidates[hi_idx])
+    while hi - lo > ROOT_TOL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if float(scenario.net(i, mid)) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (0.0, 0.5 * (lo + hi))
+
+
+def checked_maximize_net(i, scenario):
+    """``maximize_net`` through the public ``net_derivative``."""
+    _, a_i = checked_feasible_interval(i, scenario)
+    assert a_i > 0.0
+    lo = min(1e-9, 1e-9 * a_i)
+    assert float(scenario.net_derivative(i, lo)) > 0.0
+    assert float(scenario.net_derivative(i, a_i)) < 0.0
+    hi = a_i
+    tol = MAXIMIZER_TOL * max(1.0, a_i)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if float(scenario.net_derivative(i, mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def checked_menu(scenario):
+    """The menu from the checked searches and public evaluations."""
+    qualities = [checked_maximize_net(i, scenario)
+                 for i in range(1, scenario.n_types + 1)]
+    prices = [float(scenario.cost.value(s)) + float(scenario.profit.value(s))
+              for s in qualities]
+    nets = [float(scenario.net(i, s)) for i, s in enumerate(qualities, start=1)]
+    return QualityPriceMenu(tuple(qualities), tuple(prices), tuple(nets))
+
+
+MENU_SIZES = (2, 4, 7, 12)
+
+
+def bench_menus(family, seeds):
+    """The benchmark's menus of ``family``, drawn as its generator draws
+    them: one generator per seed, one menu per family and size."""
+    scenarios = load_bench_scenarios()
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        menus = {f: [scenarios.menu_scenario(rng, f, n) for n in MENU_SIZES]
+                 for f in scenarios.MENU_FAMILIES}
+        yield from menus[family]
+
+
+class Recording(ScalarFunction):
+    """``base`` with every point its unchecked methods see recorded; it
+    fails once it has been called more than ``limit`` times."""
+
+    def __init__(self, base, limit=math.inf):
+        super().__init__(base.domain)
+        self.base, self.limit, self.points = base, limit, []
+
+    def _record(self, s):
+        self.points.append(np.array(s, dtype=float).ravel())
+        if len(self.points) > self.limit:
+            raise AssertionError(f"more than {self.limit} evaluations")
+
+    def _value(self, s):
+        self._record(s)
+        return self.base._value(s)
+
+    def _derivative(self, s):
+        self._record(s)
+        return self.base._derivative(s)
+
+
+def recorded(scenario, limit=math.inf):
+    return MenuScenario(tuple(Recording(p, limit) for p in scenario.budgets),
+                        Recording(scenario.cost, limit), Recording(scenario.profit, limit),
+                        scenario.s_search_max, scenario.s_probe_max, scenario.grid_n)
+
+
+#: unchecked evaluations of one type's budget in ``maximize_net``: the
+#: 256-point geometric scan (one call); the root bisection, whose bracket
+#: [lo, hi] is one scan step, (1e15 ** (1/255) - 1) * lo wide, halved until
+#: it is at most ROOT_TOL * max(1, hi) >= ROOT_TOL * lo; the two sign
+#: probes; and the maximizer bisection, at most max(1, a_i) wide, halved
+#: down to MAXIMIZER_TOL times that
+EVALS_PER_TYPE = (1 + math.ceil(math.log2((1e15 ** (1.0 / 255) - 1.0) / ROOT_TOL))
+                  + 2 + math.ceil(math.log2(1.0 / MAXIMIZER_TOL)))
+
+
+class TestUncheckedSearch:
+    """The searches validate the scenario once and then evaluate unchecked."""
+
+    @pytest.mark.parametrize("family", ["log", "power", "tabulated"])
+    def test_menus_match_checked_searches(self, family):
+        for scenario in bench_menus(family, range(30)):
+            assert solve_menu(scenario).to_dict() == checked_menu(scenario).to_dict()
+
+    def test_demo_menu_matches_checked_searches(self):
+        demo = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "menu_log_budget.json"
+        scenario = load_config(demo).menu
+        assert solve_menu(scenario).to_dict() == checked_menu(scenario).to_dict()
+
+    @pytest.mark.parametrize("family", ["log", "power", "tabulated"])
+    def test_every_point_lies_in_search_window(self, family):
+        scenario = recorded(next(bench_menus(family, [3])))
+        solve_menu(scenario)
+        for func in scenario.budgets + (scenario.cost, scenario.profit):
+            points = np.concatenate(func.points)
+            assert points.size > 0
+            assert 0.0 <= points.min() and points.max() <= scenario.s_search_max
+
+    @pytest.mark.parametrize("family", ["log", "power", "tabulated"])
+    def test_evaluations_per_type_are_bounded(self, family):
+        assert EVALS_PER_TYPE == 71
+        scenario = list(bench_menus(family, [4]))[-1]
+        for i in range(1, scenario.n_types + 1):
+            counted = recorded(scenario, limit=EVALS_PER_TYPE)
+            maximize_net(i, counted)
+            assert len(counted.budgets[i - 1].points) <= EVALS_PER_TYPE
+
+    def test_searches_make_no_domain_check(self, monkeypatch, log_menu_scenario):
+        checks = []
+        original = functions._check_in_interval
+        monkeypatch.setattr(functions, "_check_in_interval",
+                            lambda *args, **kw: checks.append(args) or original(*args, **kw))
+        for i in range(1, log_menu_scenario.n_types + 1):
+            maximize_net(i, log_menu_scenario)
+        assert checks == []
+        log_menu_scenario.net(1, 1.0)
+        assert len(checks) == 3

@@ -71,6 +71,37 @@ def bilinear_value(thetas, ss, v, th, sv):
             + wt * ws * v[i + 1, j + 1])
 
 
+def broadcast_first(tariff):
+    """``TabulatedTariff``'s ``_value`` and ``_partials`` as they were when
+    both broadcast theta and s before their two cell lookups."""
+    def cell(grid, x):
+        k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+        return k, (x - grid[k]) / (grid[k + 1] - grid[k])
+
+    def value(th, sv):
+        th, sv = np.broadcast_arrays(np.asarray(th, float), np.asarray(sv, float))
+        (i, wt), (j, ws) = cell(tariff.thetas, th), cell(tariff.ss, sv)
+        v = tariff.values_grid
+        return ((1 - wt) * (1 - ws) * v[i, j]
+                + wt * (1 - ws) * v[i + 1, j]
+                + (1 - wt) * ws * v[i, j + 1]
+                + wt * ws * v[i + 1, j + 1])
+
+    def partials(th, sv):
+        th, sv = np.broadcast_arrays(th, sv)
+        (i, wt), (j, ws) = cell(tariff.thetas, th), cell(tariff.ss, sv)
+        il, jl = i - ((wt == 0) & (i > 0)), j - ((ws == 0) & (j > 0))
+        st, ss, sc = tariff.theta_slopes, tariff.s_slopes, tariff.cross_slopes
+        f_theta = 0.5 * ((1 - ws) * (st[i, j] + st[il, j])
+                         + ws * (st[i, j + 1] + st[il, j + 1]))
+        f_s = 0.5 * ((1 - wt) * (ss[i, j] + ss[i, jl])
+                     + wt * (ss[i + 1, j] + ss[i + 1, jl]))
+        f_2 = 0.25 * ((sc[i, j] + sc[il, j]) + (sc[i, jl] + sc[il, jl]))
+        return f_theta, f_s, f_2
+
+    return value, partials
+
+
 def adjacent_cells(grid, x):
     """Cells [grid[k], grid[k+1]] that contain ``x``: two on an interior knot."""
     return [k for k in range(len(grid) - 1) if grid[k] <= x <= grid[k + 1]]
@@ -187,6 +218,34 @@ class TestTabulatedTariff:
         tol = 16.0 * EPS * np.max(np.abs(VALUES)) / (
             np.min(np.diff(THETAS)) * np.min(np.diff(SS)))
         np.testing.assert_allclose(f_2, want, rtol=0.0, atol=tol)
+
+    def shapes(self):
+        """(theta, s) arguments of every shape the callers pass: on knots,
+        on the grid edges and inside cells."""
+        th = np.concatenate([THETAS, random_off_knots(THETAS, 9)])
+        sv = np.concatenate([SS[[0, 4, -1]], random_off_knots(SS, 6), SS[[1, -1]]])
+        th_pairs = np.concatenate([THETAS[[0, 3, -1]], th[-sv.size + 3:]])
+        return {
+            "scalar_knot": (np.asarray(THETAS[4]), np.asarray(SS[-1])),
+            "scalar_edge": (np.asarray(THETAS[-1]), np.asarray(SS[0])),
+            "scalar_inside": (np.asarray(th[-1]), np.asarray(sv[5])),
+            "n_by_n": (th_pairs, sv),
+            "n_by_scalar": (th, np.asarray(SS[2])),
+            "n1_by_1m": (th[:, None], sv[None, :]),
+            "1m_by_n1": (th[None, :], sv[:, None]),
+        }
+
+    @pytest.mark.parametrize("shape", ["scalar_knot", "scalar_edge", "scalar_inside",
+                                       "n_by_n", "n_by_scalar",
+                                       "n1_by_1m", "1m_by_n1"])
+    def test_unbroadcast_lookups_match_broadcast_first(self, shape):
+        th, sv = self.shapes()[shape]
+        value, partials = broadcast_first(self.TARIFF)
+        want = (value(th, sv),) + partials(th, sv)
+        got = (self.TARIFF._value(th, sv),) + self.TARIFF._partials(th, sv)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            np.testing.assert_array_equal(g, w)
 
     def test_scalar_and_broadcast_shapes(self):
         ft, fs, f2 = self.TARIFF.partials(1.0, 1.5)

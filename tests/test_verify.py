@@ -1,11 +1,9 @@
 """Verifier: constraint certification, market simulation, quadrature oracle."""
 
 import dataclasses
-import importlib.util
 import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +34,7 @@ from contractpricing.verify import (
     OutOfBandStats,
 )
 from conftest import (
+    load_bench_scenarios,
     make_bilinear_profile_scenario,
     make_log_menu_scenario,
     make_separable_profile_scenario,
@@ -338,7 +337,6 @@ ORACLE_CASES = {
     "tabulated": certified(tabulated_profile_scenario),
     "tampered": tampered,
     "tie": tie_case,
-    "nan_saving": nan_case,
 }
 
 ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 10 ** 5)
@@ -355,6 +353,22 @@ class TestSimulatorOracle:
         report = simulate_market(profile, scenario, samples, 5)
         assert report.to_dict() == oracle_simulate(profile, scenario, samples, 5).to_dict()
 
+    @pytest.mark.parametrize("samples", ORACLE_SAMPLES)
+    def test_nan_saving_counts_toward_no_band(self, samples):
+        """A user whose saving is NaN picks no quality, where the argmax
+        oracle gave them quality 1; every other field is the oracle's."""
+        profile, scenario = nan_case()
+        report = simulate_market(profile, scenario, samples, 5).to_dict()
+        want = oracle_simulate(profile, scenario, samples, 5).to_dict()
+        theta, m = profile.demands[0], scenario.margins.m[0]
+        draws = np.random.default_rng([5, 0]).uniform(theta - m, theta + m, samples)
+        # above the cut every saving is NaN; below it, quality 1 is the best
+        below_cut = float(np.mean(draws <= scenario.tariff.cut))
+        assert want["bands"][0]["fraction_intended"] == 1.0
+        assert report["bands"][0]["fraction_intended"] == below_cut < 1.0
+        want["bands"][0]["fraction_intended"] = below_cut
+        assert report == want
+
     def test_lower_index_wins_ties(self):
         report = simulate_market(*tie_case(), SIM_BLOCK + 1, 5)
         assert [band.fraction_intended for band in report.bands] == [1.0, 1.0, 0.0]
@@ -369,14 +383,6 @@ class TestSimulatorOracle:
         with pytest.raises(DomainError) as error:
             simulate_market(stored, scenario, 3 * SIM_BLOCK, 5)
         assert str(error.value) == str(oracle_error.value)
-
-
-def load_bench_scenarios():
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_simulation_memory_independent_of_quality_count():
