@@ -13,6 +13,7 @@ from contractpricing import (
     LogFunction,
     MenuScenario,
     ScaledFunction,
+    check_menu_regularity,
     feasible_interval,
     solve_menu,
     verify_menu,
@@ -26,7 +27,7 @@ budgets = tuple(ScaledFunction(LogFunction(D_B), float(i)) for i in (1, 2, 3))
 scenario = MenuScenario(budgets, cost, profit)
 
 print("== regularity conditions ==")
-report = scenario.check_regularity()
+report = check_menu_regularity(scenario)
 for check in report.checks:
     print(f"  {check.cid:<35} {'ok' if check.passed else 'FAIL':<5} "
           f"margin {check.margin:+.3e}")

@@ -37,6 +37,7 @@ from typing import Optional
 
 from .config import ScenarioConfig, load_config, load_solution
 from .errors import ConfigError, ContractPricingError, ScenarioError
+from .functions import check_menu_regularity
 from .menu import solve_menu
 from .profile import build_profile, check_achievability
 from .serialize import dumps_canonical, format_float, write_csv, write_json
@@ -259,7 +260,7 @@ def _cmd_tradeoff(args) -> int:
 def _cmd_check(args) -> int:
     config = load_config(args.config)
     if config.mode == "menu":
-        report = config.menu.check_regularity()
+        report = check_menu_regularity(config.menu)
     elif config.mode == "profile":
         report = check_achievability(config.profile)
     else:

@@ -4,10 +4,10 @@ Configs are JSON documents with a ``mode`` of ``menu``, ``profile`` or
 ``tradeoff``.  This module only parses: it rejects unknown keys, wrong
 JSON types, non-finite numbers and nesting deeper than ``MAX_NESTING``,
 reads the referenced CSV files and names the field path in every
-error.  The function constructors and :class:`MenuScenario` /
-:class:`ProfileScenario` own every value rule and the scenario defaults
-(price_lambda 0.5, grid_n 512, s_search_max 1e6, s_probe_max 100);
-their messages appear behind the field path, as in
+error.  The constructors of the functions, the box and the scenarios own
+every value rule and the scenario defaults (price_lambda 0.5, grid_n
+512, s_search_max 1e6, s_probe_max 100); their messages appear behind
+the field path, as in
 ``cost: linear slope must be nonnegative``.  Only the run-time knobs
 keep defaults and range checks here (probes 9, quad_n 256, seed 42,
 samples_per_band 1000, points 50).  ``quad_n`` is hashed but no command
@@ -122,10 +122,10 @@ def _given(raw: dict, path_prefix: str, parsers: dict) -> dict:
             for key, parse in parsers.items() if key in raw}
 
 
-def _validated(prefix: str, validate, *args, **kwargs):
-    """Call a validator or constructor, prefixing its error with the field path."""
+def _validated(prefix: str, build, *args, **kwargs):
+    """Call a constructor, prefixing its error with the field path."""
     try:
-        return validate(*args, **kwargs)
+        return build(*args, **kwargs)
     except ScenarioError as exc:
         raise ScenarioError(f"{prefix}{exc}") from None
 
@@ -255,7 +255,7 @@ def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
     _reject_unknown(box, {"theta_low", "theta_up", "s_low", "s_up"}, path)
     values = {key: number(require(box, key, path), f"{path}.{key}")
               for key in ("theta_low", "theta_up", "s_low", "s_up")}
-    return DomainBox(**values), values
+    return _validated(f"{path}: ", DomainBox, **values), values
 
 
 def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
@@ -287,7 +287,6 @@ def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     scenario = MenuScenario(tuple(budgets), cost, profit, **_given(
         raw, "", {"s_search_max": number, "s_probe_max": number,
                   "grid_n": _integer}))
-    scenario.validate()
     return {
         "mode": "menu",
         "budgets": budgets_res,
@@ -321,12 +320,11 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
         margins = MarginSpec(b=tuple(0.1 * s for s in qualities),
                              m=tuple(0.01 * s for s in qualities))
         margins_res = {"b": list(margins.b), "m": list(margins.m)}
-    scenario = ProfileScenario(tuple(qualities), tariff, cost, box, margins,
-                               **_given(raw, path_prefix,
-                                        {"price_lambda": number,
-                                         "grid_n": _integer}))
     # the scenario owns its rules; its errors already name the field
-    _validated(path_prefix, scenario.validate)
+    scenario = _validated(path_prefix, ProfileScenario, tuple(qualities),
+                          tariff, cost, box, margins,
+                          **_given(raw, path_prefix, {"price_lambda": number,
+                                                      "grid_n": _integer}))
     resolved = {
         "mode": "profile",
         "qualities": qualities,

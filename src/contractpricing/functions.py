@@ -42,7 +42,7 @@ MAX_GRID_N = 1 << 16
 
 def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
     atol = 1e-12 * max(1.0, abs(lo), abs(hi) if math.isfinite(hi) else 1.0)
-    bad = (x < lo - atol) | (x > hi + atol)
+    bad = ~((x >= lo - atol) & (x <= hi + atol))  # NaN is outside too
     if np.any(bad):
         offender = float(np.asarray(x)[bad][0]) if np.ndim(x) else float(x)
         raise DomainError(
@@ -370,13 +370,18 @@ class DomainBox:
     s_low: float
     s_up: float
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         # a zero-width demand range is tolerated here; the achievability
         # predicate reports it as a failing demand-range condition
         if not (0 < self.theta_low <= self.theta_up):
-            raise ScenarioError("box: demand bounds must satisfy 0 < theta_low <= theta_up")
+            raise ScenarioError("demand bounds must satisfy 0 < theta_low <= theta_up")
         if not (0 < self.s_low < self.s_up):
-            raise ScenarioError("box: quality bounds must satisfy 0 < s_low < s_up")
+            raise ScenarioError("quality bounds must satisfy 0 < s_low < s_up")
+        if not (math.isfinite(self.theta_up) and math.isfinite(self.s_up)):
+            raise ScenarioError("bounds must be finite")
 
     @property
     def demand_range(self) -> float:
@@ -451,7 +456,7 @@ def _min_with_witness(values: np.ndarray, grid: np.ndarray):
 def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     """Certify the assumptions of the quality-price menu construction.
 
-    Validates ``scenario`` first, so every function is defined on
+    A built scenario is valid, so every function is defined on
     [0, s_search_max] and the scan evaluates them unchecked.  Conditions,
     each sampled on a ``grid_n``-point grid over (0, s_probe_max]:
 
@@ -469,7 +474,6 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     Failures carry the witness grid point.  Report-valued: never raises
     on a condition failure.
     """
-    scenario.validate()
     budgets, cost, profit = scenario.budgets, scenario.cost, scenario.profit
     hi = scenario.s_probe_max
     grid = (hi / scenario.grid_n) * np.arange(1, scenario.grid_n + 1)
@@ -572,7 +576,6 @@ def check_marginal_budget(tariff: TariffFunction,
     Report-valued.
     """
     check_size("grid_n", grid_n, 16, MAX_GRID_N)
-    box.validate()
     theta_grid = np.linspace(box.theta_low, box.theta_up, grid_n)
     s_grid = np.linspace(box.s_low, box.s_up, grid_n)
     c_prime = np.asarray(cost.derivative(s_grid))

@@ -13,12 +13,12 @@ All searches use plain bisection: only continuity and monotonicity of
 the derivative are guaranteed, and robustness beats speed at these
 problem sizes.
 
-Each entry point validates the scenario once: :meth:`MenuScenario.validate`
-proves that every budget, the cost and the profit target are defined on
-``[0, s_search_max]``, and every search point lies in that window.  The
-searches and the per-type price and net then evaluate through the
-unchecked ``MenuScenario._net``/``_net_derivative``.  The public
-``net``/``net_derivative`` and the verifier keep their domain checks.
+A :class:`MenuScenario` is validated once, when it is built, and never in
+the solvers; :meth:`MenuScenario.validate` proves that every budget, the
+cost and the profit target are defined on ``[0, s_search_max]``, and every
+search point lies in that window.  The searches and the per-type price and
+net evaluate through the unchecked ``MenuScenario._net``/``_net_derivative``;
+the public ``net``/``net_derivative`` and the verifier keep their checks.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ class MenuScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(self.budgets))
+        self.validate()
 
     @property
     def n_types(self) -> int:
@@ -86,7 +87,7 @@ class MenuScenario:
         named = [(f"budgets[{i}]", p) for i, p in enumerate(self.budgets)]
         for name, func in named + [("cost", self.cost), ("profit", self.profit)]:
             lo, hi = func.domain
-            if lo > 1e-12 or hi < self.s_search_max - 1e-12:
+            if not (lo <= 1e-12 and hi >= self.s_search_max - 1e-12):
                 raise ScenarioError(
                     f"{name} domain [{lo:g}, {hi:g}] does not cover the "
                     f"search window [0, {self.s_search_max:g}]")
@@ -112,9 +113,6 @@ class MenuScenario:
         s = np.asarray(s, dtype=float)
         return (self.budgets[i - 1]._derivative(s) - self.cost._derivative(s)
                 - self.profit._derivative(s))
-
-    def check_regularity(self):
-        return check_menu_regularity(self)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,6 @@ def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
     degenerate interval (0, 0) when the net saving is negative everywhere
     on (0, s_search_max].
     """
-    scenario.validate()
     _check_type_index(i, scenario)
     cap = scenario.s_search_max
     candidates = np.geomspace(cap * 1e-15, cap, 256)
@@ -195,7 +192,6 @@ def maximize_net(i: int, scenario: MenuScenario) -> float:
     derivative f'_i on the feasible interval, found by bisection down to
     a bracket width of ``MAXIMIZER_TOL * max(1, a_i)``.
     """
-    scenario.validate()
     _check_type_index(i, scenario)
     _, a_i = feasible_interval(i, scenario)
     if a_i <= 0.0:
@@ -231,8 +227,7 @@ def solve_menu(scenario: MenuScenario) -> QualityPriceMenu:
     every quality at cost plus target profit, and certifies the result
     through the independent verifier before returning it.
     """
-    scenario.validate()
-    report = scenario.check_regularity()
+    report = check_menu_regularity(scenario)
     if not report.passed:
         failed = ", ".join(c.cid for c in report.failures)
         raise RegularityError(

@@ -10,13 +10,14 @@ price window [A_j, B_j] exists.  Window ends are evaluated in closed
 form as tariff differences; the quadrature forms survive only as a test
 oracle (see :func:`contractpricing.verify.crosscheck_windows`).
 
-Every profile returned by :func:`build_profile` has been certified by
-the independent verifier; the solver never returns an uncertified
-profile.
+A :class:`ProfileScenario` is validated once, when it is built, and never
+in the solvers.  Every profile returned by :func:`build_profile` has been
+certified by the independent verifier.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,9 +54,9 @@ class MarginSpec:
     """Target profit-satisfaction margins.
 
     ``b`` holds per-quality profit floors, ``m`` per-quality demand
-    half-widths; both must be positive and strictly increasing.  ``gap``
-    optionally widens the per-step savings premium and defaults to the
-    consecutive profit increments ``b[k+1] - b[k]``.
+    half-widths; both must be finite, positive and strictly increasing.
+    ``gap`` optionally widens the per-step savings premium and defaults
+    to the consecutive profit increments ``b[k+1] - b[k]``.
     """
 
     b: tuple[float, ...]
@@ -77,12 +78,15 @@ class MarginSpec:
     def validate(self, n_qualities: int) -> None:
         if len(self.b) != n_qualities or len(self.m) != n_qualities:
             raise ScenarioError("margins.b and margins.m must have one entry per quality")
+        gaps = self.gaps
+        for name, values in (("b", self.b), ("m", self.m), ("gap", gaps)):
+            if not all(map(math.isfinite, values)):
+                raise ScenarioError(f"margins.{name} must be finite")
         for name, values in (("b", self.b), ("m", self.m)):
             if values[0] <= 0:
                 raise ScenarioError(f"margins.{name} must be positive")
             if any(x >= y for x, y in zip(values, values[1:])):
                 raise ScenarioError(f"margins.{name} must be strictly increasing")
-        gaps = self.gaps
         if len(gaps) != n_qualities - 1:
             raise ScenarioError("margins.gap must have one entry per consecutive pair")
         for k, g in enumerate(gaps):
@@ -94,7 +98,7 @@ class MarginSpec:
 
 @dataclass(frozen=True)
 class ProfileScenario:
-    """Inputs of the profile construction."""
+    """Inputs of the profile construction, validated when built."""
 
     qualities: tuple[float, ...]
     tariff: TariffFunction
@@ -106,6 +110,7 @@ class ProfileScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "qualities", tuple(float(s) for s in self.qualities))
+        self.validate()
 
     @property
     def n_qualities(self) -> int:
@@ -115,11 +120,10 @@ class ProfileScenario:
         s, box = self.qualities, self.box
         if len(s) < 1:
             raise ScenarioError("at least one quality is required")
-        if min(s) <= 0:
+        if not min(s) > 0:
             raise ScenarioError("qualities must be positive")
-        if any(x >= y for x, y in zip(s, s[1:])):
+        if not all(x < y for x, y in zip(s, s[1:])):
             raise ScenarioError("qualities must be strictly increasing")
-        box.validate()
         if s[0] < box.s_low - 1e-12 or s[-1] > box.s_up + 1e-12:
             raise ScenarioError("qualities must lie within [s_low, s_up]")
         demand, quality = (box.theta_low, box.theta_up), (box.s_low, box.s_up)
@@ -127,7 +131,7 @@ class ProfileScenario:
                 ("demand range", demand, "tariff's theta", self.tariff.theta_domain),
                 ("quality range", quality, "tariff's s", self.tariff.s_domain),
                 ("quality range", quality, "cost's", self.cost.domain)):
-            if lo < d_lo - 1e-12 or hi > d_hi + 1e-12:
+            if not (lo >= d_lo - 1e-12 and hi <= d_hi + 1e-12):
                 raise ScenarioError(f"box {what} [{lo:g}, {hi:g}] exceeds the "
                                     f"{owner} domain [{d_lo:g}, {d_hi:g}]")
         self.margins.validate(len(s))
@@ -252,7 +256,6 @@ def _margin_conditions(scenario: ProfileScenario, b_1, m_last, deltas):
 def _achievability(scenario: ProfileScenario
                    ) -> tuple[ConditionReport, tuple[float, ...]]:
     """Achievability report plus the increments it was decided on."""
-    scenario.validate()
     marginal = check_marginal_budget(scenario.tariff, scenario.cost,
                                      scenario.box, scenario.grid_n)
     deltas = step_sizes(scenario)

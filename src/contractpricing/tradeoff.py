@@ -117,11 +117,10 @@ def empirical_region(scenario_template: ProfileScenario,
         if grid.ndim != 1:
             raise ScenarioError(f"{name} must be a 1-D grid")
         check_size(f"{name} length", grid.size, 1, MAX_REGION_AXIS)
-        if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
-            raise ScenarioError(f"{name} must be positive and increasing")
+        if not (grid[0] > 0 and np.all(np.diff(grid) > 0) and grid[-1] < np.inf):
+            raise ScenarioError(f"{name} must be finite, positive and increasing")
 
     template = scenario_template
-    template.validate()
     marginal = check_marginal_budget(template.tariff, template.cost,
                                      template.box, template.grid_n)
     sens = [sensitivity_bounds(template, j)

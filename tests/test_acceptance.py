@@ -19,6 +19,7 @@ from contractpricing import (
     EmptyPriceWindowError,
     LinearFunction,
     MarginSpec,
+    MenuScenario,
     NotAchievableError,
     PowerFunction,
     ProfileScenario,
@@ -60,11 +61,13 @@ def criterion(number, label):
 
 
 def count_evaluations(monkeypatch) -> dict:
-    """Count the public function evaluations from now on; a deterministic
-    bound on the solver's work (the benchmark owns wall-clock timing)."""
+    """Count the public function evaluations and the menu searches'
+    unchecked net evaluations from now on; a deterministic bound on the
+    solver's work (the benchmark owns wall-clock timing)."""
     count = {"calls": 0}
     for cls, names in ((ScalarFunction, ("value", "derivative")),
-                       (TariffFunction, ("value", "partials"))):
+                       (TariffFunction, ("value", "partials")),
+                       (MenuScenario, ("_net", "_net_derivative"))):
         for name in names:
             def counted(self, *args, _original=getattr(cls, name)):
                 count["calls"] += 1
@@ -132,8 +135,9 @@ def test_criterion_1_menu_closed_form_reproduction(monkeypatch):
                 assert s_i == pytest.approx(
                     log_menu_closed_form(d_b, d_c, i), abs=1e-6)
                 assert p_i == pytest.approx(1.1 * d_c * s_i, abs=1e-12)
-        # 34,095 evaluations when this bound replaced a wall-clock one
-        assert evaluations <= 1.25 * 34_095, f"50 menu solves: {evaluations}"
+        # 11,465 evaluations (750 public, 10,715 unchecked net) when the
+        # unchecked menu searches were first counted
+        assert evaluations <= 1.25 * 11_465, f"50 menu solves: {evaluations}"
 
 
 def test_criterion_2_menu_certification_and_grid_oracle():

@@ -57,6 +57,13 @@ class TestScalarValues:
         with pytest.raises(DomainError, match="s=0.5"):
             f.value(0.5)
 
+    @pytest.mark.parametrize("method", ["value", "derivative", "partials"])
+    def test_nan_argument_is_outside_domain(self, method):
+        func, args = ((BilinearTariff(4.0), (0.5, math.nan))
+                      if method == "partials" else (LinearFunction(1.0), (math.nan,)))
+        with pytest.raises(DomainError, match="s=nan outside domain"):
+            getattr(func, method)(*args)
+
     def test_tabulated_requires_increasing_grid(self):
         with pytest.raises(ScenarioError):
             TabulatedFunction([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])

@@ -32,6 +32,7 @@ from contractpricing import (
     verify_menu,
 )
 from contractpricing import functions
+from contractpricing import menu as menu_module
 from contractpricing.menu import MAXIMIZER_TOL, ROOT_TOL
 from conftest import (
     bisect_root,
@@ -121,34 +122,30 @@ class TestMaximizeNet:
 
 class TestMenuDomains:
     """MenuScenario.validate owns the rule that every function is defined
-    on [0, s_search_max]; the regularity scan relies on it."""
+    on [0, s_search_max] and runs when a scenario is built; the regularity
+    scan relies on it."""
 
     def test_cost_domain_must_cover_search_window(self, log_menu_scenario):
         cost = TabulatedFunction([0.0, 10.0], [0.0, 10.0])
-        scenario = dataclasses.replace(log_menu_scenario, cost=cost)
         message = r"cost domain \[0, 10\] does not cover the search window \[0, 1e\+06\]"
         with pytest.raises(ScenarioError, match=message):
-            scenario.validate()
-        with pytest.raises(ScenarioError, match=message):
-            check_menu_regularity(scenario)
-        report = check_menu_regularity(
-            dataclasses.replace(scenario, s_search_max=10.0, s_probe_max=10.0))
+            dataclasses.replace(log_menu_scenario, cost=cost)
+        report = check_menu_regularity(dataclasses.replace(
+            log_menu_scenario, cost=cost, s_search_max=10.0, s_probe_max=10.0))
         assert report.check("a1.cost_zero_at_origin").passed
 
     def test_infinite_search_window_rejected(self):
         # a budget that outgrows the cost keeps the boundedness scan
         # doubling its probe; with no finite cap it never stopped
         cost = LinearFunction(1.0)
-        scenario = MenuScenario((LinearFunction(2.0),), cost,
-                                ScaledFunction(cost, 0.1), s_search_max=math.inf)
         with pytest.raises(ScenarioError, match="s_search_max must be positive and finite"):
-            check_menu_regularity(scenario)
+            MenuScenario((LinearFunction(2.0),), cost,
+                         ScaledFunction(cost, 0.1), s_search_max=math.inf)
 
     def test_profit_undefined_at_origin(self, log_menu_scenario):
         profit = TabulatedFunction([1e-3, 1e6], [1e-4, 1e5])
-        scenario = dataclasses.replace(log_menu_scenario, profit=profit)
         with pytest.raises(ScenarioError, match=r"profit domain \[0\.001, 1e\+06\]"):
-            solve_menu(scenario)
+            dataclasses.replace(log_menu_scenario, profit=profit)
 
 
 class TestSolveMenu:
@@ -213,8 +210,8 @@ class TestSolveMenu:
     def test_identical_budgets_rejected_as_ties(self, monkeypatch):
         # identical budgets fail single crossing; skip the regularity
         # report to reach the tie check behind it
-        monkeypatch.setattr(MenuScenario, "check_regularity",
-                            lambda self: ConditionReport(()))
+        monkeypatch.setattr(menu_module, "check_menu_regularity",
+                            lambda scenario: ConditionReport(()))
         scenario = MenuScenario(
             budgets=(LogFunction(2.2), LogFunction(2.2)),
             cost=LinearFunction(1.0),

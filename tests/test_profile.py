@@ -153,12 +153,13 @@ class TestPriceWindow:
         assert abs(b_2 - a_2) <= 1e-9
 
     def test_degenerate_window_formula(self):
-        # zero half-widths and gap with a zero step collapse both ends to
+        # half-widths that round away next to theta, profit increments
+        # (the default gap) of 1e-16 and a zero step collapse both ends to
         # the price increment between qualities
         scenario = dataclasses.replace(
             make_bilinear_profile_scenario(),
-            margins=MarginSpec(b=(0.1, 0.2, 0.3), m=(0.0, 0.0, 0.0),
-                               gap=(0.0, 0.0)))
+            margins=MarginSpec(b=(0.1, 0.1 + 1e-16, 0.1 + 2e-16),
+                               m=(1e-300, 2e-300, 3e-300)))
         theta, p_prev = 0.5, 1.0
         a_2, b_2 = price_window(scenario, 2, theta, p_prev, theta)
         expected = p_prev + 4.0 * theta * 2.0 - 4.0 * theta * 1.0
@@ -358,24 +359,21 @@ class TestMarginSpec:
 
 class TestScenarioDomains:
     def test_grid_n_bound(self):
-        scenario = dataclasses.replace(make_bilinear_profile_scenario(),
-                                       grid_n=10 ** 20)
         with pytest.raises(ScenarioError, match="grid_n"):
-            build_profile(scenario)
+            dataclasses.replace(make_bilinear_profile_scenario(),
+                                grid_n=10 ** 20)
 
     def test_separable_tabulated_g_must_cover_box(self):
         # g is sampled on [0.5, 0.9], the demand range is [1/3, 1]
         thetas = np.linspace(0.5, 0.9, 9)
         tariff = SeparableTariff(TabulatedFunction(thetas, 4.0 * thetas),
                                  LinearFunction(1.0))
-        scenario = dataclasses.replace(make_bilinear_profile_scenario(),
-                                       tariff=tariff)
         with pytest.raises(ScenarioError, match="demand range"):
-            build_profile(scenario)
+            dataclasses.replace(make_bilinear_profile_scenario(),
+                                tariff=tariff)
 
     def test_cost_domain_must_cover_quality_range(self):
         ss = np.linspace(0.0, 2.0, 9)
-        scenario = dataclasses.replace(make_bilinear_profile_scenario(),
-                                       cost=TabulatedFunction(ss, ss))
         with pytest.raises(ScenarioError, match="cost's domain"):
-            check_achievability(scenario)
+            dataclasses.replace(make_bilinear_profile_scenario(),
+                                cost=TabulatedFunction(ss, ss))

@@ -205,6 +205,8 @@ class TestEmpiricalRegion:
             empirical_region(make_template(), [0.1, 0.05], [0.01])
         with pytest.raises(ScenarioError):
             empirical_region(make_template(), [], [0.01])
+        with pytest.raises(ScenarioError, match="b_grid must be finite"):
+            empirical_region(make_template(), [0.05, np.nan, 0.1], [0.01])
 
 
 class TestSizingBounds:

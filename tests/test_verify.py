@@ -40,6 +40,10 @@ from conftest import (
     make_separable_profile_scenario,
 )
 
+#: positive half-widths that round away next to every demand used here,
+#: so each band is a single point (a scenario needs m > 0)
+ZERO_WIDTH = (1e-300, 2e-300, 3e-300)
+
 
 class TestVerifyMenu:
     def test_reference_menu_passes(self, log_menu_scenario):
@@ -99,7 +103,7 @@ class TestVerifyProfile:
         profile = build_profile(bilinear_profile_scenario)
         degenerate = dataclasses.replace(
             bilinear_profile_scenario,
-            margins=MarginSpec(b=(0.1, 0.2, 0.3), m=(0.0, 0.0, 0.0)))
+            margins=MarginSpec(b=(0.1, 0.2, 0.3), m=ZERO_WIDTH))
         report = verify_profile(profile, degenerate)
         assert report.passed
         assert math.isfinite(report.worst_margin)
@@ -189,7 +193,7 @@ class TestSimulateMarket:
         profile = build_profile(bilinear_profile_scenario)
         degenerate = dataclasses.replace(
             bilinear_profile_scenario,
-            margins=MarginSpec(b=(0.1, 0.2, 0.3), m=(0.0, 0.0, 0.0)))
+            margins=MarginSpec(b=(0.1, 0.2, 0.3), m=ZERO_WIDTH))
         report = simulate_market(profile, degenerate, 1, 3)
         for band, theta in zip(report.bands, profile.demands):
             assert band.theta == theta
@@ -284,7 +288,7 @@ def tie_case():
     lower index must win both ties."""
     scenario = dataclasses.replace(make_bilinear_profile_scenario(),
                                    margins=MarginSpec(b=(0.1, 0.2, 0.3),
-                                                      m=(0.0, 0.0, 0.0)))
+                                                      m=ZERO_WIDTH))
     profile = dataclasses.replace(
         build_profile(make_bilinear_profile_scenario()),
         demands=(0.375, 0.5, 0.75),
