@@ -16,7 +16,6 @@ from contractpricing import (
     ProfileScenario,
     build_profile,
     check_achievability,
-    crosscheck_windows,
     step_sizes,
     verify_profile,
 )
@@ -52,7 +51,3 @@ print("   the incentive bound is exactly as tight as the profit bound)")
 certificate = verify_profile(profile, scenario, probes_per_band=9)
 print(f"\nindependent verification: passed={certificate.passed}, "
       f"worst margin {certificate.worst_margin:+.2e}")
-
-oracle = crosscheck_windows(scenario, profile, quad_n=256)
-print(f"quadrature window oracle:  passed={oracle.passed} "
-      f"(closed forms vs Simpson integration)")

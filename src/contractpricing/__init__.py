@@ -67,8 +67,6 @@ from .verify import (
     OutOfBandStats,
     VerificationReport,
     Violation,
-    crosscheck_windows,
-    simpson,
     simulate_market,
     verify_menu,
     verify_profile,
@@ -123,7 +121,6 @@ __all__ = [
     "check_achievability",
     "check_marginal_budget",
     "check_menu_regularity",
-    "crosscheck_windows",
     "empirical_region",
     "feasible_interval",
     "homogeneous_region",
@@ -131,7 +128,6 @@ __all__ = [
     "maximize_net",
     "price_window",
     "sensitivity_bounds",
-    "simpson",
     "simulate_market",
     "solve_menu",
     "step_size",

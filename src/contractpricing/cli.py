@@ -12,13 +12,15 @@ Subcommands::
 Exit codes: 0 success/certified, 2 config or parse error, 3 constraint
 violation or not achievable, 4 numerical failure (bracket or window
 errors).  On an error exit, stderr holds exactly one JSON object naming
-the error class, its exit code and its message; commands run with
-Python warnings (numpy overflow and the like) suppressed so that
-nothing else reaches stderr.
+the error class, its exit code and its message; a usage error is a
+``ConfigError``, and commands run with Python warnings (numpy overflow
+and the like) suppressed so that nothing else reaches stderr.
 
 Artifacts are written to ``--out`` (default: the ``CONTRACTPRICING_OUT``
-environment variable, else the working directory) in the formats chosen
-by ``--format`` (default: both JSON and CSV).  Solution JSON embeds the
+environment variable, else the working directory).  ``menu``,
+``profile`` and ``tradeoff`` write the formats chosen by ``--format``
+(default: both JSON and CSV); the other commands write JSON only and
+take no ``--format``.  Solution JSON embeds the
 scenario hash so that ``verify`` and ``simulate`` can detect
 configuration drift.  Because solution files
 round floats to 9 significant digits, re-certification of a stored
@@ -51,54 +53,57 @@ OUT_ENV_VAR = "CONTRACTPRICING_OUT"
 SERIALIZED_SLACK = 1e-6
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises :class:`ConfigError`, so that it ends in the
+    JSON error object like every other error (the subparsers inherit
+    this class)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contractpricing",
         description="Quality-price menus and demand-price profiles for "
                     "target profits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, help, *positionals, formats=False):
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("--out", help="output directory for emitted artifacts")
-        p.add_argument("--format", choices=("json", "csv", "both"),
-                       default="both", help="artifact formats to write")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv", "both"),
+                           default="both", help="artifact formats to write")
         p.add_argument("--quiet", action="store_true",
                        help="suppress human-readable tables on stdout")
+        return p
 
-    p = sub.add_parser("menu", help="solve and certify a quality-price menu")
-    p.add_argument("config")
-    add_common(p)
-
-    p = sub.add_parser("profile", help="build and certify a demand-price profile")
-    p.add_argument("config")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="re-certify a stored solution")
-    p.add_argument("config")
-    p.add_argument("solution")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="seeded market simulation of a solution")
-    p.add_argument("config")
-    p.add_argument("solution")
+    command("menu", "solve and certify a quality-price menu", "config",
+            formats=True)
+    command("profile", "build and certify a demand-price profile", "config",
+            formats=True)
+    command("verify", "re-certify a stored solution", "config", "solution")
+    p = command("simulate", "seeded market simulation of a solution",
+                "config", "solution")
     p.add_argument("--samples", type=int, help="samples per satisfaction band")
     p.add_argument("--seed", type=int, help="simulation seed")
-    add_common(p)
-
-    p = sub.add_parser("tradeoff", help="profit-satisfaction tradeoff curve")
-    p.add_argument("config")
+    p = command("tradeoff", "profit-satisfaction tradeoff curve", "config",
+                formats=True)
     p.add_argument("--points", type=int, help="boundary points to emit")
-    add_common(p)
-
-    p = sub.add_parser("check", help="run condition reports without solving")
-    p.add_argument("config")
-    add_common(p)
+    command("check", "run condition reports without solving", "config")
     return parser
 
 
 def _out_dir(args) -> Path:
     path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise ConfigError(f"cannot use {path} as the output directory: "
+                          f"{exc.strerror or exc}") from None
     return path
 
 
@@ -289,15 +294,13 @@ _HANDLERS = {
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except ContractPricingError as exc:
         error = {"error": {"type": type(exc).__name__,
                            "exit_code": exc.exit_code,

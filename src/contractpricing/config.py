@@ -10,9 +10,12 @@ every value rule and the scenario defaults (price_lambda 0.5, grid_n
 the field path, as in
 ``cost: linear slope must be nonnegative``.  Only the run-time knobs
 keep defaults and range checks here (probes 9, quad_n 256, seed 42,
-samples_per_band 1000, points 50).  ``quad_n`` is hashed but no command
-reads it; dropping it would change the hash of every stored profile
-solution.  The resolved dictionary, defaults filled in, has a canonical
+samples_per_band 1000, points 50).  ``quad_n`` is parsed, floor-checked
+and hashed, but nothing reads it: the quadrature window oracle it sized
+is a test oracle now.  Dropping the key would change the hash of every
+profile scenario, and so every stored profile solution and the pinned
+CLI artifact digests of the benchmark; it waits for a change that
+re-pins those.  The resolved dictionary, defaults filled in, has a canonical
 hash that solution files embed so that verification can detect
 configuration drift.  :func:`load_solution` checks a solution file's
 mode, hash and entry count; the ``from_dict`` of the solution class
@@ -38,7 +41,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -145,9 +148,10 @@ def _closed_form(decl: dict, family: str, path: str):
     return _validated(f"{path}: ", ctor, **args), {"family": family, **args}
 
 
-def _csv_source(decl: dict, path: str, base_dir: Path) -> tuple[Path, dict]:
-    """Locate a tabulated declaration's CSV file; also return the resolved
-    declaration, which embeds the data digest."""
+def _csv_source(decl: dict, path: str, base_dir: Path,
+                load: Callable[[Path], np.ndarray]) -> tuple[np.ndarray, dict]:
+    """Read a tabulated declaration's CSV file with ``load``; also return
+    the resolved declaration, which embeds the data digest."""
     _reject_unknown(decl, {"family", "csv"}, path)
     name = require(decl, "csv", path)
     if not isinstance(name, str):
@@ -158,7 +162,11 @@ def _csv_source(decl: dict, path: str, base_dir: Path) -> tuple[Path, dict]:
     if not csv_path.is_file():
         raise ConfigError(f"{path}.csv: file not found: {csv_path}")
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-    return csv_path, {"family": "tabulated", "csv": name, "data_sha256": digest}
+    try:
+        data = load(csv_path)
+    except ValueError as exc:  # also a byte that is not UTF-8
+        raise ConfigError(f"{path}.csv: cannot parse {csv_path}: {exc}") from None
+    return data, {"family": "tabulated", "csv": name, "data_sha256": digest}
 
 
 def parse_scalar_function(decl, path: str, base_dir: Path
@@ -179,11 +187,8 @@ def parse_scalar_function(decl, path: str, base_dir: Path
         factor = number(require(decl, "factor", path), f"{path}.factor")
         return (_validated(f"{path}: ", ScaledFunction, base, factor),
                 {"family": "scaled", "base": base_resolved, "factor": factor})
-    csv_path, resolved = _csv_source(decl, path, base_dir)
-    try:
-        data = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.csv: cannot parse {csv_path}: {exc}") from None
+    data, resolved = _csv_source(
+        decl, path, base_dir, lambda f: np.loadtxt(f, delimiter=",", ndmin=2))
     if data.shape[1] != 2:
         raise ConfigError(f"{path}.csv: expected two columns (coordinate, value)")
     return (_validated(f"{path}.csv: ", TabulatedFunction, data[:, 0], data[:, 1]),
@@ -204,8 +209,8 @@ def parse_tariff_function(decl, path: str, base_dir: Path
                                          f"{path}.h", base_dir)
         return (SeparableTariff(g, h),
                 {"family": "separable", "g": g_res, "h": h_res})
-    csv_path, resolved = _csv_source(decl, path, base_dir)
-    raw = np.genfromtxt(csv_path, delimiter=",")
+    raw, resolved = _csv_source(
+        decl, path, base_dir, lambda f: np.genfromtxt(f, delimiter=","))
     if raw.ndim != 2 or raw.shape[0] < 3 or raw.shape[1] < 3:
         raise ConfigError(
             f"{path}.csv: expected a matrix with demand rows and quality columns")
@@ -241,7 +246,6 @@ class ScenarioConfig:
     profile: Optional[ProfileScenario] = None
     tradeoff: Optional[TradeoffParams] = None
     probes: int = DEFAULTS["probes"]
-    quad_n: int = DEFAULTS["quad_n"]
     seed: int = DEFAULTS["seed"]
     samples_per_band: int = DEFAULTS["samples_per_band"]
 
@@ -348,6 +352,7 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
              for key, lowest in (("probes", 3), ("quad_n", 64), ("seed", 0),
                                  ("samples_per_band", 1))}
     resolved.update(knobs)
+    del knobs["quad_n"]  # hashed, read by nothing
     return resolved, {"profile": scenario, **knobs}
 
 
@@ -405,7 +410,7 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     raw = expect_dict(raw, "config")
     _check_nesting(raw, "")
@@ -432,8 +437,8 @@ def load_solution(path: Union[str, Path], config: ScenarioConfig
         raise ConfigError(f"solution file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"malformed solution JSON: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"malformed solution JSON in {path}: {exc}") from None
     if not isinstance(data, dict) or "mode" not in data:
         raise ConfigError("solution file lacks a mode field")
     if data["mode"] != config.mode:

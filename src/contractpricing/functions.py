@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ScenarioError
+from .serialize import null_non_finite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .menu import MenuScenario
@@ -407,13 +408,13 @@ class ConditionCheck:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
+        return null_non_finite({
             "id": self.cid,
             "passed": self.passed,
-            "margin": self.margin if math.isfinite(self.margin) else None,
+            "margin": self.margin,
             "witness": self.witness,
             "detail": self.detail,
-        }
+        })
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ iterative: theta_1 sits just above the demand floor, and each subsequent
 nominal demand advances by a step Delta_j large enough that a nonempty
 price window [A_j, B_j] exists.  Window ends are evaluated in closed
 form as tariff differences; the quadrature forms survive only as a test
-oracle (see :func:`contractpricing.verify.crosscheck_windows`).
+oracle, outside the package (``tests/oracles.py``).
 
 A :class:`ProfileScenario` is validated once, when it is built, and never
 in the solvers.  Every profile returned by :func:`build_profile` has been

@@ -71,6 +71,20 @@ def _emit(value, out: list, level: int) -> None:
         out.append(_scalar(value))
 
 
+def null_non_finite(value):
+    """``value`` with every non-finite float, also inside dicts, lists and
+    tuples, set to None.  JSON has no non-finite numbers, and an
+    overflowed or NaN margin or saving is a legitimate report value, so
+    reports write it as null."""
+    if isinstance(value, dict):
+        return {key: null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [null_non_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def dumps_canonical(obj) -> str:
     """Render ``obj`` as deterministic, human-diffable JSON text."""
     out: list = []

@@ -5,20 +5,20 @@ the scenario's functions, without reusing any intermediate quantity of
 the solvers.  A seeded Monte Carlo market simulator doubles as a
 behavioral oracle: users drawn inside a satisfaction band should pick
 the intended quality, out-of-band users are only guaranteed
-affordability.  Price windows can additionally be cross-checked against
-composite-Simpson quadrature of their defining integrals.
+affordability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ScenarioError
 from .functions import check_size
+from .serialize import null_non_finite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .menu import MenuScenario, QualityPriceMenu
@@ -37,22 +37,7 @@ SIM_BLOCK = 1 << 14
 
 # upper bounds of the sizing knobs, checked before anything is allocated
 MAX_PROBES_PER_BAND = 1 << 16
-MAX_QUAD_N = 1 << 20
 MAX_SAMPLES_PER_BAND = 10 ** 7
-
-
-def _null_non_finite(value):
-    """``value`` with every non-finite float, also inside dicts, lists and
-    tuples, set to None.  JSON has no non-finite numbers, and an
-    overflowed or NaN margin or saving is a legitimate report value, so
-    reports write it as null."""
-    if isinstance(value, dict):
-        return {key: _null_non_finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_null_non_finite(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 @dataclass(frozen=True)
@@ -66,7 +51,7 @@ class Violation:
     witness: dict
 
     def to_dict(self) -> dict:
-        return _null_non_finite(asdict(self))
+        return null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -83,11 +68,11 @@ class VerificationReport:
     worst_margin: float
 
     def to_dict(self) -> dict:
-        return {
+        return null_non_finite({
             "passed": self.passed,
-            "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
+            "worst_margin": self.worst_margin,
             "violations": [v.to_dict() for v in self.violations],
-        }
+        })
 
 
 class _Margins:
@@ -247,7 +232,7 @@ class BandStats:
     meets_profit_target: bool
 
     def to_dict(self) -> dict:
-        return _null_non_finite(asdict(self))
+        return null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -264,7 +249,7 @@ class OutOfBandStats:
     min_saving: float
 
     def to_dict(self) -> dict:
-        return _null_non_finite(asdict(self))
+        return null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -275,7 +260,7 @@ class MarketSimReport:
     out_of_band: Optional[OutOfBandStats]
 
     def to_dict(self) -> dict:
-        return _null_non_finite(asdict(self))
+        return null_non_finite(asdict(self))
 
 
 def _block_savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
@@ -398,75 +383,3 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
         fraction_affordable=float(np.mean(assigned_saving >= 0.0)),
         min_saving=float(np.min(assigned_saving)),
     )
-
-
-# ---------------------------------------------------------------------------
-# quadrature cross-check
-# ---------------------------------------------------------------------------
-
-def simpson(func: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-            n: int) -> float:
-    """Composite Simpson integral of ``func`` over [a, b] with n intervals."""
-    if b == a:
-        return 0.0
-    if n < 2:
-        n = 2
-    if n % 2:
-        n += 1
-    x = np.linspace(a, b, n + 1)
-    y = np.asarray(func(x), dtype=float)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((b - a) / (3.0 * n) * np.dot(w, y))
-
-
-def crosscheck_windows(scenario: "ProfileScenario",
-                       profile: "DemandPriceProfile",
-                       quad_n: int = 256,
-                       rel_tol: float = 1e-6) -> VerificationReport:
-    """Recompute every price window by quadrature and compare.
-
-    The closed-form window ends are tariff differences; this oracle
-    instead integrates the marginal tariffs F_s and F_theta with
-    composite Simpson and flags any relative discrepancy above
-    ``rel_tol``.  Margins are ``rel_tol`` minus the observed relative
-    error (negative means violated).
-    """
-    check_size("quad_n", quad_n, 64, MAX_QUAD_N)
-    s = scenario.qualities
-    m = scenario.margins.m
-    gaps = scenario.margins.gaps
-    tariff = scenario.tariff
-
-    acc = _Margins(0.0)
-    for j in range(2, len(profile.demands) + 1):
-        th_prev = profile.demands[j - 2]
-        th_cur = profile.demands[j - 1]
-        p_prev = profile.prices[j - 2]
-        s_prev, s_cur = s[j - 2], s[j - 1]
-        m_prev, m_cur = m[j - 2], m[j - 1]
-
-        def f_s_at(theta_fixed):
-            return lambda x: np.asarray(tariff.partials(theta_fixed, x)[1])
-
-        def f_theta_at(s_fixed):
-            return lambda x: np.asarray(tariff.partials(x, s_fixed)[0])
-
-        quad_a = (p_prev
-                  + simpson(f_s_at(th_prev + m_prev), s_prev, s_cur, quad_n)
-                  + simpson(f_theta_at(s_prev), th_prev - m_prev,
-                            th_prev + m_prev, quad_n)
-                  + gaps[j - 2])
-        quad_b = (p_prev
-                  + simpson(f_s_at(th_cur - m_cur), s_prev, s_cur, quad_n)
-                  - simpson(f_theta_at(s_prev), th_cur - m_cur,
-                            th_cur + m_cur, quad_n))
-
-        closed_a, closed_b = profile.windows[j - 1]
-        for name, closed, quad in (("window_A", closed_a, quad_a),
-                                   ("window_B", closed_b, quad_b)):
-            rel = abs(closed - quad) / max(1.0, abs(closed))
-            acc.add(name, j, None, rel_tol - rel,
-                    {"closed_form": closed, "quadrature": quad})
-    return acc.report()

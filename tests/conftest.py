@@ -1,9 +1,9 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and the loader of bench modules for the test suite."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from contractpricing import (
@@ -18,6 +18,8 @@ from contractpricing import (
     ScaledFunction,
     SeparableTariff,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def make_log_menu_scenario(d_b=2.2, d_c=1.0, n_types=3, profit_factor=0.1):
@@ -95,31 +97,17 @@ def separable_profile_scenario():
     return make_separable_profile_scenario()
 
 
-def bisect_root(func, lo, hi, iterations=200):
-    """Independent bisection oracle: root of func on [lo, hi]."""
-    f_lo = func(lo)
-    assert f_lo * func(hi) <= 0, "oracle bracket must straddle the root"
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if f_lo * func(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def grid_argmax(func, lo, hi, n=10_000):
-    """Independent grid-scan oracle for a 1-D maximum."""
-    grid = np.linspace(lo, hi, n)
-    values = np.asarray(func(grid))
-    k = int(np.argmax(values))
-    return float(grid[k]), float(values[k])
-
-
-def load_bench_scenarios():
-    """The benchmark's seeded scenario generators, ``bench/scenarios.py``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def load_bench(name):
+    """``bench/<name>.py`` as module ``bench_<name>``.  Its sibling modules
+    are importable while it loads, and it is registered under its name,
+    which its dataclasses look up."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                      BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
     return module

@@ -29,7 +29,6 @@ from contractpricing import (
     TariffFunction,
     build_profile,
     check_achievability,
-    crosscheck_windows,
     empirical_region,
     feasible_interval,
     homogeneous_region,
@@ -48,6 +47,7 @@ from conftest import (
     make_bilinear_profile_scenario,
     make_log_menu_scenario,
 )
+from oracles import crosscheck_windows, grid_argmax
 
 
 @contextmanager
@@ -151,8 +151,7 @@ def test_criterion_2_menu_certification_and_grid_oracle():
             assert report.worst_margin >= -1e-9
             for i, s_i in enumerate(menu.qualities, start=1):
                 _, a_i = feasible_interval(i, scenario)
-                grid = np.linspace(0.0, a_i, 10_000)
-                best = float(np.max(np.asarray(scenario.net(i, grid))))
+                _, best = grid_argmax(lambda s: scenario.net(i, s), 0.0, a_i)
                 assert float(scenario.net(i, s_i)) >= best - 1e-6
 
 

@@ -1,17 +1,8 @@
 """The traced benchmark run can still wrap every callable it names."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_bench
 
 
 def current(module, cls, attr):
@@ -22,7 +13,7 @@ def current(module, cls, attr):
 
 
 def test_tracer_patches_every_wrapped_callable():
-    spans = load_spans()
+    spans = load_bench("spans")
     originals = {entry: current(*entry[1:]) for entry in spans.WRAPPED}
     tracer = spans.Tracer()
     try:

@@ -7,36 +7,16 @@ with the pinned one.  The pinned file is only read.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from contractpricing.cli import run
+from conftest import BENCH, load_bench
 
-ROOT = Path(__file__).resolve().parents[1]
-BENCH = ROOT / "bench"
+ROOT = BENCH.parent
 PINNED = json.loads((BENCH / "cli_digests.json").read_text())
-
-
-def load_workloads():
-    """``bench/workloads.py``, which imports its sibling ``scenarios``."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", BENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up by name
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
-
-
-WORKLOADS = load_workloads()
+WORKLOADS = load_bench("workloads")
 
 
 def argv(key, workdir, out):

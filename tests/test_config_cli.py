@@ -573,15 +573,20 @@ class TestCliBounds:
                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
+def tariff_csv(thetas):
+    """Matrix CSV text of the tariff 4 theta s on qualities 1 to 3: the
+    quality grid in the first row, the demand grid in the first column."""
+    ss = np.linspace(1.0, 3.0, 5)
+    lines = [",".join(["0"] + [f"{s:.17g}" for s in ss])]
+    lines += [",".join([f"{t:.17g}"] + [f"{4.0 * t * s:.17g}" for s in ss])
+              for t in thetas]
+    return "\n".join(lines)
+
+
 class TestCliDomains:
     def test_box_beyond_tabulated_grid_names_box(self, tmp_path, capsys):
         # the tariff is sampled on theta in [0.5, 1], the box starts at 1/3
-        thetas = np.linspace(0.5, 1.0, 6)
-        ss = np.linspace(1.0, 3.0, 5)
-        lines = [",".join(["0"] + [f"{s:.17g}" for s in ss])]
-        lines += [",".join([f"{t:.17g}"] + [f"{4.0 * t * s:.17g}" for s in ss])
-                  for t in thetas]
-        (tmp_path / "tariff.csv").write_text("\n".join(lines))
+        (tmp_path / "tariff.csv").write_text(tariff_csv(np.linspace(0.5, 1.0, 6)))
         payload = dict(PROFILE_CONFIG,
                        tariff={"family": "tabulated", "csv": "tariff.csv"})
         config = write_config(tmp_path, payload)
@@ -592,10 +597,11 @@ class TestCliDomains:
         assert "tariff's theta domain" in error["message"]
 
 
-def run_module(argv):
-    """Run ``python -m contractpricing`` on this process's package copy."""
+def run_module(argv, **env_vars):
+    """Run ``python -m contractpricing`` on this process's package copy,
+    with ``env_vars`` added to the environment."""
     package_root = str(Path(contractpricing.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "contractpricing", *argv],
                           capture_output=True, text=True, env=env)
@@ -729,6 +735,71 @@ class TestCliErrorContract:
              "--quiet"]), 2)
         assert error["type"] == "ConfigError"
         assert message in error["message"]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("check", ["--bogus"]),
+        ("simulate", ["--samples", "abc"]),
+        ("verify", ["--format", "csv"]),
+    ], ids=["unknown_option", "non_integer_samples", "format_on_verify"])
+    def test_usage_error_is_json(self, tmp_path, command, extra):
+        config = write_config(tmp_path, PROFILE_CONFIG)
+        solution = [] if command == "check" else [str(tmp_path / "profile.json")]
+        error = self.error_of(run_module([command, config, *solution, *extra]), 2)
+        assert error["type"] == "ConfigError"
+        assert extra[0] in error["message"]
+
+    @pytest.mark.parametrize("command", ["menu", "profile", "verify",
+                                         "simulate", "tradeoff", "check"])
+    def test_format_only_where_it_selects_artifacts(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        usage, err = capsys.readouterr()
+        assert err == ""
+        assert "--out" in usage and "--quiet" in usage
+        assert ("--format" in usage) == (command in ("menu", "profile", "tradeoff"))
+
+    @pytest.mark.parametrize("via", ["--out", "CONTRACTPRICING_OUT"])
+    def test_out_names_existing_file(self, tmp_path, via):
+        config = write_config(tmp_path, MENU_CONFIG)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if via == "--out":
+            result = run_module(["check", config, "--out", str(blocker), "--quiet"])
+        else:
+            result = run_module(["check", config, "--quiet"],
+                                CONTRACTPRICING_OUT=str(blocker))
+        error = self.error_of(result, 2)
+        assert error["type"] == "ConfigError"
+        assert str(blocker) in error["message"]
+
+    def test_config_not_utf8(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(MENU_CONFIG).encode() + b"\xff")
+        error = self.error_of(run_module(
+            ["check", str(config), "--out", str(tmp_path / "o"), "--quiet"]), 2)
+        assert error["type"] == "ConfigError"
+        assert str(config) in error["message"]
+
+    def test_solution_not_utf8(self, tmp_path):
+        config = write_config(tmp_path, PROFILE_CONFIG)
+        solution = tmp_path / "profile.json"
+        solution.write_bytes(b'{"mode": "profile\xff"}')
+        error = self.error_of(run_module(
+            ["verify", config, str(solution), "--out", str(tmp_path / "o"),
+             "--quiet"]), 2)
+        assert error["type"] == "ConfigError"
+        assert str(solution) in error["message"]
+
+    def test_tariff_csv_not_utf8(self, tmp_path):
+        csv = tmp_path / "tariff.csv"
+        csv.write_bytes(tariff_csv(np.linspace(0.3, 1.0, 6)).encode()
+                        + b"\n0.9,\xff,1,1,1,1\n")
+        config = write_config(tmp_path, dict(
+            PROFILE_CONFIG, tariff={"family": "tabulated", "csv": "tariff.csv"}))
+        error = self.error_of(run_module(
+            ["check", config, "--out", str(tmp_path / "o"), "--quiet"]), 2)
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("tariff.csv: cannot parse")
+        assert str(csv) in error["message"]
 
     def test_overflowed_saving_written_as_null(self, tmp_path, capsys):
         config = write_config(tmp_path, PROFILE_CONFIG)

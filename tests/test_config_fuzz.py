@@ -31,11 +31,8 @@ from contractpricing import errors
 from contractpricing.cli import run
 from contractpricing.functions import MAX_GRID_N
 from contractpricing.tradeoff import MAX_POINTS
-from contractpricing.verify import (
-    MAX_PROBES_PER_BAND,
-    MAX_QUAD_N,
-    MAX_SAMPLES_PER_BAND,
-)
+from contractpricing.verify import MAX_PROBES_PER_BAND, MAX_SAMPLES_PER_BAND
+from oracles import MAX_QUAD_N
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 

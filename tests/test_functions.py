@@ -22,9 +22,9 @@ from contractpricing import (
     TabulatedTariff,
     check_marginal_budget,
     check_menu_regularity,
-    simpson,
 )
 from conftest import make_log_menu_scenario
+from oracles import simpson
 
 
 def central_difference(func, x, h=None):

@@ -17,7 +17,6 @@ from contractpricing import (
     MenuScenario,
     NoInteriorMaximizerError,
     PowerFunction,
-    QualityPriceMenu,
     RegularityError,
     ScalarFunction,
     ScaledFunction,
@@ -34,13 +33,8 @@ from contractpricing import (
 from contractpricing import functions
 from contractpricing import menu as menu_module
 from contractpricing.menu import MAXIMIZER_TOL, ROOT_TOL
-from conftest import (
-    bisect_root,
-    grid_argmax,
-    load_bench_scenarios,
-    log_menu_closed_form,
-    make_log_menu_scenario,
-)
+from conftest import load_bench, log_menu_closed_form, make_log_menu_scenario
+from oracles import bisect_root, checked_menu, grid_argmax
 
 
 class TestFeasibleInterval:
@@ -241,65 +235,13 @@ class TestSolveMenu:
 # the unchecked searches against the checked ones they replaced
 # ---------------------------------------------------------------------------
 
-def checked_feasible_interval(i, scenario):
-    """``feasible_interval`` as it was when every point went through the
-    public, domain-checked ``net`` (its error branches are asserts here)."""
-    cap = scenario.s_search_max
-    candidates = np.geomspace(cap * 1e-15, cap, 256)
-    vals = scenario.net(i, candidates)
-    pos = np.flatnonzero(vals > 0.0)
-    if pos.size == 0:
-        return (0.0, 0.0)
-    first_pos = int(pos[0])
-    neg = np.flatnonzero(vals[first_pos:] < 0.0)
-    assert neg.size > 0
-    hi_idx = first_pos + int(neg[0])
-    lo = float(candidates[hi_idx - 1])
-    hi = float(candidates[hi_idx])
-    while hi - lo > ROOT_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if float(scenario.net(i, mid)) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (0.0, 0.5 * (lo + hi))
-
-
-def checked_maximize_net(i, scenario):
-    """``maximize_net`` through the public ``net_derivative``."""
-    _, a_i = checked_feasible_interval(i, scenario)
-    assert a_i > 0.0
-    lo = min(1e-9, 1e-9 * a_i)
-    assert float(scenario.net_derivative(i, lo)) > 0.0
-    assert float(scenario.net_derivative(i, a_i)) < 0.0
-    hi = a_i
-    tol = MAXIMIZER_TOL * max(1.0, a_i)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if float(scenario.net_derivative(i, mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def checked_menu(scenario):
-    """The menu from the checked searches and public evaluations."""
-    qualities = [checked_maximize_net(i, scenario)
-                 for i in range(1, scenario.n_types + 1)]
-    prices = [float(scenario.cost.value(s)) + float(scenario.profit.value(s))
-              for s in qualities]
-    nets = [float(scenario.net(i, s)) for i, s in enumerate(qualities, start=1)]
-    return QualityPriceMenu(tuple(qualities), tuple(prices), tuple(nets))
-
-
 MENU_SIZES = (2, 4, 7, 12)
 
 
 def bench_menus(family, seeds):
     """The benchmark's menus of ``family``, drawn as its generator draws
     them: one generator per seed, one menu per family and size."""
-    scenarios = load_bench_scenarios()
+    scenarios = load_bench("scenarios")
     for seed in seeds:
         rng = np.random.default_rng(seed)
         menus = {f: [scenarios.menu_scenario(rng, f, n) for n in MENU_SIZES]

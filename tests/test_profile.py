@@ -24,7 +24,6 @@ from contractpricing import (
     check_achievability,
     price_window,
     sensitivity_bounds,
-    simpson,
     step_size,
     step_sizes,
     verify_profile,
@@ -36,6 +35,7 @@ from conftest import (
     WORKED_THETAS,
     make_bilinear_profile_scenario,
 )
+from oracles import quadrature_window
 
 
 class TestSensitivityBounds:
@@ -167,24 +167,10 @@ class TestPriceWindow:
         assert b_2 == pytest.approx(expected, abs=1e-12)
 
     def test_quadrature_crosscheck(self, bilinear_profile_scenario):
-        scenario = bilinear_profile_scenario
-        tariff = scenario.tariff
-        m = scenario.margins.m
-        th_prev, th_cur = WORKED_THETAS[0], WORKED_THETAS[1]
-        a_2, b_2 = price_window(scenario, 2, th_prev, WORKED_P1, th_cur)
-        quad_a = (WORKED_P1
-                  + simpson(lambda s: np.asarray(
-                      tariff.partials(th_prev + m[0], s)[1]), 1.0, 2.0, 256)
-                  + simpson(lambda th: np.asarray(
-                      tariff.partials(th, 1.0)[0]),
-                      th_prev - m[0], th_prev + m[0], 256)
-                  + scenario.margins.gaps[0])
-        quad_b = (WORKED_P1
-                  + simpson(lambda s: np.asarray(
-                      tariff.partials(th_cur - m[1], s)[1]), 1.0, 2.0, 256)
-                  - simpson(lambda th: np.asarray(
-                      tariff.partials(th, 1.0)[0]),
-                      th_cur - m[1], th_cur + m[1], 256))
+        args = (bilinear_profile_scenario, 2, WORKED_THETAS[0], WORKED_P1,
+                WORKED_THETAS[1])
+        a_2, b_2 = price_window(*args)
+        quad_a, quad_b = quadrature_window(*args, quad_n=256)
         assert a_2 == pytest.approx(quad_a, rel=1e-6)
         assert b_2 == pytest.approx(quad_b, rel=1e-6)
 

@@ -1,6 +1,6 @@
 """Tabulated families: values and derivatives of their own interpolant.
 
-The oracles below are the finite-difference formulas the tabulated
+The oracles (``oracles.py``) are the finite-difference formulas the tabulated
 families used before they differentiated their interpolant directly
 (central differences with relative step ``FD_STEP``, one-sided at the
 table ends).  Where the interpolant is differentiable the difference
@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 from contractpricing import ScenarioError, TabulatedFunction, TabulatedTariff
-
-#: relative step of the finite-difference oracle
-FD_STEP = 1e-5
+from oracles import FD_STEP, bilinear_value, broadcast_first, fd_derivative, fd_partials
 
 EPS = np.finfo(float).eps
 
@@ -31,75 +29,6 @@ XS = np.geomspace(0.2, 6.0, 40)
 YS = A * XS ** 0.6
 
 RNG = np.random.default_rng(2024)
-
-
-def fd_derivative(func, s):
-    """Central difference of ``func._value``, one-sided at the domain ends."""
-    lo, hi = func.domain
-    h = FD_STEP * np.maximum(1.0, np.abs(s))
-    left = np.maximum(s - h, lo)
-    right = np.minimum(s + h, hi)
-    return (func._value(right) - func._value(left)) / (right - left)
-
-
-def fd_partials(tariff, th, sv):
-    """Central differences of ``tariff._value`` clipped to the grid box."""
-    th, sv = np.broadcast_arrays(th, sv)
-    t_lo, t_hi = tariff.theta_domain
-    s_lo, s_hi = tariff.s_domain
-    ht = FD_STEP * np.maximum(1.0, np.abs(th))
-    hs = FD_STEP * np.maximum(1.0, np.abs(sv))
-    t0, t1 = np.maximum(th - ht, t_lo), np.minimum(th + ht, t_hi)
-    s0, s1 = np.maximum(sv - hs, s_lo), np.minimum(sv + hs, s_hi)
-    f_theta = (tariff._value(t1, sv) - tariff._value(t0, sv)) / (t1 - t0)
-    f_s = (tariff._value(th, s1) - tariff._value(th, s0)) / (s1 - s0)
-    return f_theta, f_s
-
-
-def bilinear_value(thetas, ss, v, th, sv):
-    """The bilinear interpolation formula, written out on its own."""
-    th, sv = np.broadcast_arrays(np.asarray(th, float), np.asarray(sv, float))
-    i = np.clip(np.searchsorted(thetas, th, side="right") - 1, 0, thetas.size - 2)
-    j = np.clip(np.searchsorted(ss, sv, side="right") - 1, 0, ss.size - 2)
-    t0, t1 = thetas[i], thetas[i + 1]
-    s0, s1 = ss[j], ss[j + 1]
-    wt = (th - t0) / (t1 - t0)
-    ws = (sv - s0) / (s1 - s0)
-    return ((1 - wt) * (1 - ws) * v[i, j]
-            + wt * (1 - ws) * v[i + 1, j]
-            + (1 - wt) * ws * v[i, j + 1]
-            + wt * ws * v[i + 1, j + 1])
-
-
-def broadcast_first(tariff):
-    """``TabulatedTariff``'s ``_value`` and ``_partials`` as they were when
-    both broadcast theta and s before their two cell lookups."""
-    def cell(grid, x):
-        k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
-        return k, (x - grid[k]) / (grid[k + 1] - grid[k])
-
-    def value(th, sv):
-        th, sv = np.broadcast_arrays(np.asarray(th, float), np.asarray(sv, float))
-        (i, wt), (j, ws) = cell(tariff.thetas, th), cell(tariff.ss, sv)
-        v = tariff.values_grid
-        return ((1 - wt) * (1 - ws) * v[i, j]
-                + wt * (1 - ws) * v[i + 1, j]
-                + (1 - wt) * ws * v[i, j + 1]
-                + wt * ws * v[i + 1, j + 1])
-
-    def partials(th, sv):
-        th, sv = np.broadcast_arrays(th, sv)
-        (i, wt), (j, ws) = cell(tariff.thetas, th), cell(tariff.ss, sv)
-        il, jl = i - ((wt == 0) & (i > 0)), j - ((ws == 0) & (j > 0))
-        st, ss, sc = tariff.theta_slopes, tariff.s_slopes, tariff.cross_slopes
-        f_theta = 0.5 * ((1 - ws) * (st[i, j] + st[il, j])
-                         + ws * (st[i, j + 1] + st[il, j + 1]))
-        f_s = 0.5 * ((1 - wt) * (ss[i, j] + ss[i, jl])
-                     + wt * (ss[i + 1, j] + ss[i + 1, jl]))
-        f_2 = 0.25 * ((sc[i, j] + sc[il, j]) + (sc[i, jl] + sc[il, jl]))
-        return f_theta, f_s, f_2
-
-    return value, partials
 
 
 def adjacent_cells(grid, x):

@@ -14,12 +14,12 @@ from contractpricing import (
     ScenarioError,
     TabulatedTariff,
     build_profile,
-    check_achievability,
     empirical_region,
     homogeneous_region,
 )
 from contractpricing.tradeoff import MAX_REGION_AXIS
 from conftest import make_separable_profile_scenario
+from oracles import oracle_region
 
 
 def boundary_residual(curve):
@@ -46,18 +46,6 @@ def make_tabulated_template():
     return dataclasses.replace(
         make_template(d_p=4.0),
         tariff=TabulatedTariff(thetas, ss, 4.0 * np.outer(thetas, ss)))
-
-
-def oracle_region(template, b_grid, m_grid):
-    """Reference matrix: the solver's predicate on one scenario per cell."""
-    s = np.asarray(template.qualities)
-    result = np.zeros((len(b_grid), len(m_grid)), dtype=bool)
-    for i, b in enumerate(b_grid):
-        for j, m in enumerate(m_grid):
-            margins = MarginSpec(b=tuple(b * s), m=tuple(m * s))
-            scenario = dataclasses.replace(template, margins=margins)
-            result[i, j] = check_achievability(scenario).passed
-    return result
 
 
 class TestHomogeneousRegion:

@@ -1,4 +1,5 @@
-"""Verifier: constraint certification, market simulation, quadrature oracle."""
+"""Verifier: constraint certification and market simulation; also the
+quadrature window oracle of ``oracles``."""
 
 import dataclasses
 import json
@@ -18,7 +19,6 @@ from contractpricing import (
     ScenarioError,
     SeparableTariff,
     TabulatedTariff,
-    crosscheck_windows,
     build_profile,
     simulate_market,
     solve_menu,
@@ -26,19 +26,14 @@ from contractpricing import (
     verify_profile,
 )
 from contractpricing.serialize import dumps_canonical, write_csv
-from contractpricing.verify import (
-    CHOICE_TIE_TOL,
-    SIM_BLOCK,
-    BandStats,
-    MarketSimReport,
-    OutOfBandStats,
-)
+from contractpricing.verify import CHOICE_TIE_TOL, SIM_BLOCK
 from conftest import (
-    load_bench_scenarios,
+    load_bench,
     make_bilinear_profile_scenario,
     make_log_menu_scenario,
     make_separable_profile_scenario,
 )
+from oracles import crosscheck_windows, oracle_simulate
 
 #: positive half-widths that round away next to every demand used here,
 #: so each band is a single point (a scenario needs m > 0)
@@ -215,63 +210,6 @@ class TestSimulateMarket:
         assert oob.fraction_affordable == 1.0
 
 
-def oracle_simulate(profile, scenario, samples_per_band, rng_seed):
-    """The simulator as it was before blockwise evaluation: one tariff call
-    per quality, the rows stacked into a qualities x samples matrix, and
-    each user's choice from an argmax over the qualities."""
-
-    def savings_of(draws):
-        return np.stack([np.asarray(scenario.tariff.value(draws, s_l), dtype=float) - p_l
-                         for s_l, p_l in zip(scenario.qualities, profile.prices)])
-
-    def choices(savings):
-        best = savings.max(axis=0)
-        return np.asarray(savings >= best - CHOICE_TIE_TOL).argmax(axis=0)
-
-    n = len(profile.demands)
-    s, m, b = scenario.qualities, scenario.margins.m, scenario.margins.b
-    bands = []
-    for k in range(n):
-        rng = np.random.default_rng([int(rng_seed), k])
-        lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
-        savings = savings_of(rng.uniform(lo, hi, samples_per_band))
-        own = savings[k]
-        profit = profile.prices[k] - float(scenario.cost.value(s[k]))
-        bands.append(BandStats(
-            k=k + 1, theta=profile.demands[k], quality=s[k], price=profile.prices[k],
-            fraction_intended=float(np.mean(choices(savings) == k)),
-            min_saving=float(np.min(own)), mean_saving=float(np.mean(own)),
-            provider_profit=profit, profit_target=b[k],
-            meets_profit_target=bool(profit >= b[k] - 1e-12)))
-
-    box = scenario.box
-    segments, cursor = [], box.theta_low
-    for k in range(n):
-        lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
-        if lo > cursor:
-            segments.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if box.theta_up > cursor:
-        segments.append((cursor, box.theta_up))
-    lengths = np.array([hi - lo for lo, hi in segments], dtype=float)
-    total = float(lengths.sum()) if segments else 0.0
-    out = None
-    if total > 0.0:
-        u = np.random.default_rng([int(rng_seed), n]).uniform(0.0, total, samples_per_band)
-        cum = np.cumsum(lengths)
-        idx = np.clip(np.searchsorted(cum, u, side="right"), 0, len(segments) - 1)
-        seg_lo = np.array([seg[0] for seg in segments])
-        draws = seg_lo[idx] + (u - (cum[idx] - lengths[idx]))
-        assign = np.clip(np.searchsorted(profile.demands, draws, side="right") - 1,
-                         0, n - 1)
-        assigned = savings_of(draws)[assign, np.arange(samples_per_band)]
-        out = OutOfBandStats(samples=samples_per_band,
-                             fraction_affordable=float(np.mean(assigned >= 0.0)),
-                             min_saving=float(np.min(assigned)))
-    return MarketSimReport(samples_per_band=samples_per_band, rng_seed=int(rng_seed),
-                           bands=tuple(bands), out_of_band=out)
-
-
 def tabulated_profile_scenario():
     """The reference bilinear scenario with its tariff sampled on a grid."""
     scenario = make_bilinear_profile_scenario()
@@ -392,7 +330,7 @@ class TestSimulatorOracle:
 def test_simulation_memory_independent_of_quality_count():
     """Ten float arrays of 10**6 bound one simulation of 8 qualities; the
     qualities x samples savings matrix alone would take 61 MiB."""
-    scenarios = load_bench_scenarios()
+    scenarios = load_bench("scenarios")
     scenario = scenarios.profile_scenario(np.random.default_rng(3), "bilinear", 8, 0.6)
     profile = build_profile(scenario)
     tracemalloc.start()
