@@ -9,14 +9,13 @@ but get no savings guarantee.
 """
 
 import dataclasses
-
-from contractpricing import build_profile, simulate_market
-from importlib import import_module
 import pathlib
-import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
-scenario = import_module("02_demand_price_profile").scenario
+from contractpricing import build_profile, load_config, simulate_market
+
+# the scenario of demo 02: qualities 1, 2, 3 under a bilinear tariff
+scenario = load_config(pathlib.Path(__file__).parent / "scenarios"
+                       / "profile_bilinear.json").profile
 
 profile = build_profile(scenario)
 

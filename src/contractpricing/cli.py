@@ -16,6 +16,15 @@ the error class, its exit code and its message; a usage error is a
 ``ConfigError``, and commands run with Python warnings (numpy overflow
 and the like) suppressed so that nothing else reaches stderr.
 
+Every command runs through :func:`run`, which does the shared steps in
+one order: load the config; check its mode against the command table;
+create the output directory; run the command's handler, which only
+computes; write each artifact whose extension ``--format`` selects;
+unless ``--quiet``, print the handler's table, then its status lines;
+return the handler's exit code.  So an unusable output directory fails
+before any solver, verifier or simulator runs, and a command that fails
+after the directory is created may leave it empty.
+
 Artifacts are written to ``--out`` (default: the ``CONTRACTPRICING_OUT``
 environment variable, else the working directory).  ``menu``,
 ``profile`` and ``tradeoff`` write the formats chosen by ``--format``
@@ -35,9 +44,9 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .config import ScenarioConfig, load_config, load_solution
+from .config import load_config, load_solution
 from .errors import ConfigError, ContractPricingError, ScenarioError
 from .functions import check_menu_regularity
 from .menu import solve_menu
@@ -107,24 +116,7 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _formats(args) -> set[str]:
-    return {"json", "csv"} if args.format == "both" else {args.format}
-
-
-def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
-
-
-def _require_mode(config: ScenarioConfig, expected: str, command: str) -> None:
-    if config.mode != expected:
-        raise ConfigError(
-            f"'{command}' needs a {expected} config, got mode '{config.mode}'")
-
-
-def _print_table(args, header: list[str], rows: list[list]) -> None:
-    if args.quiet:
-        return
+def _print_table(header: list[str], rows: list[list]) -> None:
     cells = [[h for h in header]]
     for row in rows:
         cells.append([format_float(v) if isinstance(v, float) and math.isfinite(v)
@@ -136,55 +128,47 @@ def _print_table(args, header: list[str], rows: list[list]) -> None:
             print("  ".join("-" * w for w in widths))
 
 
-def _cmd_menu(args) -> int:
-    config = load_config(args.config)
-    _require_mode(config, "menu", "menu")
+class _Result(NamedTuple):
+    """What a command computed.  ``artifacts`` maps a file name to its
+    JSON payload, or to ``(header, rows)`` for a ``.csv`` name; ``table``
+    is an optional ``(header, rows)`` printed ahead of the status lines."""
+
+    artifacts: dict
+    table: Optional[tuple]
+    status: list[str]
+    code: int = 0
+
+
+def _cmd_menu(args, config, out) -> _Result:
     menu = solve_menu(config.menu)
-    out = _out_dir(args)
-    formats = _formats(args)
-    solution = {"mode": "menu", "scenario_sha256": config.hash,
-                **menu.to_dict()}
-    if "json" in formats:
-        write_json(out / "menu.json", solution)
     rows = [(k + 1, s, p, float(config.menu.budgets[k].value(s)), net)
             for k, (s, p, net) in enumerate(
                 zip(menu.qualities, menu.prices, menu.net_values))]
-    if "csv" in formats:
-        write_csv(out / "menu.csv",
-                  ["type", "quality", "price", "budget_at_quality", "net_saving"],
-                  rows)
-    _print_table(args, ["type", "quality", "price", "net_saving"],
-                 [[k, s, p, net] for k, s, p, _, net in rows])
-    _say(args, f"menu certified; artifacts in {out}")
-    return 0
+    return _Result(
+        {"menu.json": {"mode": "menu", "scenario_sha256": config.hash,
+                       **menu.to_dict()},
+         "menu.csv": (["type", "quality", "price", "budget_at_quality",
+                       "net_saving"], rows)},
+        (["type", "quality", "price", "net_saving"],
+         [[k, s, p, net] for k, s, p, _, net in rows]),
+        [f"menu certified; artifacts in {out}"])
 
 
-def _cmd_profile(args) -> int:
-    config = load_config(args.config)
-    _require_mode(config, "profile", "profile")
+def _cmd_profile(args, config, out) -> _Result:
     profile = build_profile(config.profile)
-    out = _out_dir(args)
-    formats = _formats(args)
-    solution = {"mode": "profile", "scenario_sha256": config.hash,
-                **profile.to_dict()}
-    if "json" in formats:
-        write_json(out / "profile.json", solution)
     header = ["k", "theta", "price", "window_lo", "window_hi", "delta"]
     rows = [(k + 1, th, p, w[0], w[1], d)
             for k, (th, p, w, d) in enumerate(
                 zip(profile.demands, profile.prices, profile.windows,
                     profile.step_sizes))]
-    if "csv" in formats:
-        write_csv(out / "profile.csv", header, rows)
-    _print_table(args, header, rows)
-    _say(args, f"profile certified; artifacts in {out}")
-    return 0
+    return _Result(
+        {"profile.json": {"mode": "profile", "scenario_sha256": config.hash,
+                          **profile.to_dict()},
+         "profile.csv": (header, rows)},
+        (header, rows), [f"profile certified; artifacts in {out}"])
 
 
-def _cmd_verify(args) -> int:
-    config = load_config(args.config)
-    if config.mode not in ("menu", "profile"):
-        raise ConfigError("'verify' needs a menu or profile config")
+def _cmd_verify(args, config, out) -> _Result:
     solution = load_solution(args.solution, config)
     if config.mode == "menu":
         report = verify_menu(solution, config.menu, slack=SERIALIZED_SLACK)
@@ -192,43 +176,35 @@ def _cmd_verify(args) -> int:
         report = verify_profile(solution, config.profile,
                                 probes_per_band=config.probes,
                                 slack=SERIALIZED_SLACK)
-    out = _out_dir(args)
-    write_json(out / "verification.json", report.to_dict())
+    artifacts = {"verification.json": report.to_dict()}
     if report.passed:
-        _say(args, f"solution certified; worst margin "
-                   f"{format_float(report.worst_margin)}")
-        return 0
-    _print_table(args, ["constraint", "k", "l", "margin"],
-                 [[v.constraint, v.k, "" if v.l is None else v.l, v.margin]
-                  for v in report.violations])
-    _say(args, f"{len(report.violations)} constraint violation(s) found")
-    return 3
+        return _Result(artifacts, None, [
+            f"solution certified; worst margin {format_float(report.worst_margin)}"])
+    return _Result(
+        artifacts,
+        (["constraint", "k", "l", "margin"],
+         [[v.constraint, v.k, "" if v.l is None else v.l, v.margin]
+          for v in report.violations]),
+        [f"{len(report.violations)} constraint violation(s) found"], 3)
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    _require_mode(config, "profile", "simulate")
+def _cmd_simulate(args, config, out) -> _Result:
     profile = load_solution(args.solution, config)
     samples = args.samples if args.samples is not None else config.samples_per_band
     seed = args.seed if args.seed is not None else config.seed
     report = simulate_market(profile, config.profile, samples, seed)
-    out = _out_dir(args)
-    write_json(out / "simulation.json", report.to_dict())
-    _print_table(args,
-                 ["k", "fraction_intended", "min_saving", "provider_profit",
-                  "meets_target"],
-                 [[s.k, s.fraction_intended, s.min_saving, s.provider_profit,
-                   s.meets_profit_target] for s in report.bands])
-    if report.out_of_band is not None and not args.quiet:
-        oob = report.out_of_band
-        print(f"out-of-band: {oob.samples} samples, "
-              f"{format_float(oob.fraction_affordable)} affordable")
-    return 0
+    oob = report.out_of_band
+    return _Result(
+        {"simulation.json": report.to_dict()},
+        (["k", "fraction_intended", "min_saving", "provider_profit",
+          "meets_target"],
+         [[s.k, s.fraction_intended, s.min_saving, s.provider_profit,
+           s.meets_profit_target] for s in report.bands]),
+        [] if oob is None else [f"out-of-band: {oob.samples} samples, "
+                                f"{format_float(oob.fraction_affordable)} affordable"])
 
 
-def _cmd_tradeoff(args) -> int:
-    config = load_config(args.config)
-    _require_mode(config, "tradeoff", "tradeoff")
+def _cmd_tradeoff(args, config, out) -> _Result:
     params = config.tradeoff
     points = args.points if args.points is not None else params.points
     curve = homogeneous_region(params.quality_range, params.demand_range,
@@ -250,45 +226,34 @@ def _cmd_tradeoff(args) -> int:
             "m_grid": list(grid.m_grid),
             "achievable": matrix.tolist(),
         }
-    out = _out_dir(args)
-    formats = _formats(args)
-    if "json" in formats:
-        write_json(out / "tradeoff.json", summary)
-    if "csv" in formats:
-        write_csv(out / "tradeoff.csv", ["m", "b", "normalized_m", "achievable"],
-                  rows)
-    _say(args, f"m0 = {format_float(curve.m0)}, b0 = {format_float(curve.b0)}; "
-               f"artifacts in {out}")
-    return 0
+    return _Result(
+        {"tradeoff.json": summary,
+         "tradeoff.csv": (["m", "b", "normalized_m", "achievable"], rows)},
+        None, [f"m0 = {format_float(curve.m0)}, b0 = {format_float(curve.b0)}; "
+               f"artifacts in {out}"])
 
 
-def _cmd_check(args) -> int:
-    config = load_config(args.config)
-    if config.mode == "menu":
-        report = check_menu_regularity(config.menu)
-    elif config.mode == "profile":
-        report = check_achievability(config.profile)
-    else:
-        raise ConfigError("'check' needs a menu or profile config")
-    out = _out_dir(args)
-    write_json(out / "check.json", {"mode": config.mode, **report.to_dict()})
-    _print_table(args, ["condition", "passed", "margin"],
-                 [[c.cid, c.passed, c.margin] for c in report.checks])
-    if report.passed:
-        _say(args, "all conditions hold")
-        return 0
+def _cmd_check(args, config, out) -> _Result:
+    report = (check_menu_regularity(config.menu) if config.mode == "menu"
+              else check_achievability(config.profile))
     failed = ", ".join(c.cid for c in report.failures)
-    _say(args, f"failing condition(s): {failed}")
-    return 3
+    return _Result(
+        {"check.json": {"mode": config.mode, **report.to_dict()}},
+        (["condition", "passed", "margin"],
+         [[c.cid, c.passed, c.margin] for c in report.checks]),
+        ["all conditions hold" if report.passed
+         else f"failing condition(s): {failed}"],
+        0 if report.passed else 3)
 
 
-_HANDLERS = {
-    "menu": _cmd_menu,
-    "profile": _cmd_profile,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "tradeoff": _cmd_tradeoff,
-    "check": _cmd_check,
+#: command -> (handler, config modes it accepts)
+_COMMANDS = {
+    "menu": (_cmd_menu, ("menu",)),
+    "profile": (_cmd_profile, ("profile",)),
+    "verify": (_cmd_verify, ("menu", "profile")),
+    "simulate": (_cmd_simulate, ("profile",)),
+    "tradeoff": (_cmd_tradeoff, ("tradeoff",)),
+    "check": (_cmd_check, ("menu", "profile")),
 }
 
 
@@ -296,9 +261,29 @@ def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
+        handler, modes = _COMMANDS[args.command]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _HANDLERS[args.command](args)
+            config = load_config(args.config)
+            if config.mode not in modes:
+                raise ConfigError(f"'{args.command}' needs a {' or '.join(modes)} "
+                                  f"config, got mode '{config.mode}'")
+            out = _out_dir(args)
+            result = handler(args, config, out)
+            for name, payload in result.artifacts.items():
+                kind = Path(name).suffix[1:]
+                if getattr(args, "format", "both") not in ("both", kind):
+                    continue
+                if kind == "json":
+                    write_json(out / name, payload)
+                else:
+                    write_csv(out / name, *payload)
+            if not args.quiet:
+                if result.table is not None:
+                    _print_table(*result.table)
+                for line in result.status:
+                    print(line)
+            return result.code
     except SystemExit as exc:  # --help
         return exc.code or 0
     except ContractPricingError as exc:

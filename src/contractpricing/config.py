@@ -38,6 +38,7 @@ cell ignored) and whose first column holds the demand grid.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,9 +150,10 @@ def _closed_form(decl: dict, family: str, path: str):
 
 
 def _csv_source(decl: dict, path: str, base_dir: Path,
-                load: Callable[[Path], np.ndarray]) -> tuple[np.ndarray, dict]:
-    """Read a tabulated declaration's CSV file with ``load``; also return
-    the resolved declaration, which embeds the data digest."""
+                load: Callable[[io.StringIO], np.ndarray]) -> tuple[np.ndarray, dict]:
+    """Read a tabulated declaration's CSV file once and parse those bytes
+    with ``load``; also return the resolved declaration, which embeds the
+    digest of the same bytes."""
     _reject_unknown(decl, {"family", "csv"}, path)
     name = require(decl, "csv", path)
     if not isinstance(name, str):
@@ -161,12 +163,13 @@ def _csv_source(decl: dict, path: str, base_dir: Path,
         csv_path = base_dir / csv_path
     if not csv_path.is_file():
         raise ConfigError(f"{path}.csv: file not found: {csv_path}")
-    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    content = csv_path.read_bytes()
     try:
-        data = load(csv_path)
+        data = load(io.StringIO(content.decode("utf-8")))
     except ValueError as exc:  # also a byte that is not UTF-8
         raise ConfigError(f"{path}.csv: cannot parse {csv_path}: {exc}") from None
-    return data, {"family": "tabulated", "csv": name, "data_sha256": digest}
+    return data, {"family": "tabulated", "csv": name,
+                  "data_sha256": hashlib.sha256(content).hexdigest()}
 
 
 def parse_scalar_function(decl, path: str, base_dir: Path

@@ -1,5 +1,6 @@
 """Config parsing and the command line front end."""
 
+import hashlib
 import json
 import math
 import os
@@ -154,6 +155,28 @@ class TestLoadConfig:
         assert config.menu.budgets[0].value(1.0) == pytest.approx(
             2.2 * np.log(2.0), abs=1e-4)
         assert "data_sha256" in config.resolved["budgets"][0]
+
+    def test_tabulated_csv_parsed_from_hashed_bytes(self, tmp_path,
+                                                    monkeypatch):
+        """The table and its digest come from one read of the file, so a
+        file rewritten between two reads cannot split them."""
+        def table(scale):
+            return "\n".join(f"{x},{scale * np.log1p(x)}"
+                             for x in np.linspace(0.0, 5.0, 200)).encode()
+
+        (tmp_path / "budget.csv").write_bytes(table(2.2))
+        read = table(3.3)
+        real_read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: (
+            read if self.name == "budget.csv" else real_read_bytes(self)))
+        payload = json.loads(json.dumps(MENU_CONFIG))
+        payload["budgets"][0] = {"family": "tabulated", "csv": "budget.csv"}
+        payload.update(s_search_max=5.0, s_probe_max=5.0)
+        config = load_config(write_config(tmp_path, payload))
+        assert config.menu.budgets[0].value(1.0) == pytest.approx(
+            3.3 * np.log(2.0), abs=1e-4)
+        assert config.resolved["budgets"][0]["data_sha256"] == \
+            hashlib.sha256(read).hexdigest()
 
     def test_tabulated_requires_increasing_first_column(self, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -477,6 +500,16 @@ class TestCliTradeoffCheck:
                     "--quiet"]) == 0
 
 
+COMMANDS = ("menu", "profile", "verify", "simulate", "tradeoff", "check")
+
+
+def solution_argv(command, tmp_path):
+    """The solution argument of ``verify`` and ``simulate``: the profile
+    that ``profile --out tmp_path`` writes."""
+    return ([str(tmp_path / "profile.json")]
+            if command in ("verify", "simulate") else [])
+
+
 class TestCliPlumbing:
     def test_error_object_on_stderr(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MENU_CONFIG))
@@ -497,9 +530,53 @@ class TestCliPlumbing:
         assert parsed["error"]["type"] == "ConfigError"
         assert "cost.slope" in parsed["error"]["message"]
 
-    def test_mode_mismatch(self, tmp_path):
-        config = write_config(tmp_path, MENU_CONFIG)
-        assert run(["profile", config, "--quiet"]) == 2
+    @pytest.mark.parametrize("command, payload, accepted", [
+        ("menu", PROFILE_CONFIG, "menu"),
+        ("profile", MENU_CONFIG, "profile"),
+        ("verify", TRADEOFF_CONFIG, "menu or profile"),
+        ("simulate", MENU_CONFIG, "profile"),
+        ("tradeoff", PROFILE_CONFIG, "tradeoff"),
+        ("check", TRADEOFF_CONFIG, "menu or profile"),
+    ], ids=COMMANDS)
+    def test_mode_mismatch(self, tmp_path, capsys, command, payload, accepted):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run([command, config, *solution_argv(command, tmp_path),
+                    "--out", str(out), "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"] == (f"'{command}' needs a {accepted} config, "
+                                    f"got mode '{payload['mode']}'")
+        assert not out.exists()  # the mode is checked before --out is made
+
+    @pytest.mark.parametrize("command, payload, work", [
+        ("menu", MENU_CONFIG, "solve_menu"),
+        ("profile", PROFILE_CONFIG, "build_profile"),
+        ("verify", PROFILE_CONFIG, "verify_profile"),
+        ("simulate", PROFILE_CONFIG, "simulate_market"),
+        ("tradeoff", TRADEOFF_CONFIG, "homogeneous_region"),
+        ("check", MENU_CONFIG, "check_menu_regularity"),
+    ], ids=COMMANDS)
+    def test_unusable_out_fails_before_the_work(self, tmp_path, capsys,
+                                                monkeypatch, command,
+                                                payload, work):
+        config = write_config(tmp_path, payload)
+        solution = solution_argv(command, tmp_path)
+        if solution:  # a real solution, so that only --out can stop the work
+            assert run(["profile", config, "--out", str(tmp_path),
+                        "--quiet"]) == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was claimed")
+
+        monkeypatch.setattr(f"contractpricing.cli.{work}", never)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run([command, config, *solution, "--out", str(blocker),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert str(blocker) in error["message"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, MENU_CONFIG)
