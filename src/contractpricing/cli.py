@@ -23,7 +23,10 @@ computes; write each artifact whose extension ``--format`` selects;
 unless ``--quiet``, print the handler's table, then its status lines;
 return the handler's exit code.  So an unusable output directory fails
 before any solver, verifier or simulator runs, and a command that fails
-after the directory is created may leave it empty.
+after the directory is created may leave it empty.  An ``OSError`` in
+any step but printing (a config, solution or CSV file that cannot be
+read, an output directory or artifact that cannot be written) is a
+``ConfigError`` naming the path.
 
 Artifacts are written to ``--out`` (default: the ``CONTRACTPRICING_OUT``
 environment variable, else the working directory).  ``menu``,
@@ -31,9 +34,10 @@ environment variable, else the working directory).  ``menu``,
 (default: both JSON and CSV); the other commands write JSON only and
 take no ``--format``.  Solution JSON embeds the
 scenario hash so that ``verify`` and ``simulate`` can detect
-configuration drift.  Because solution files
-round floats to 9 significant digits, re-certification of a stored
-solution uses a matching slack of 1e-6 instead of the solver-side 1e-9.
+configuration drift.  Because solution files round floats to 9
+significant digits, a relative error, ``verify`` re-certifies a stored
+solution with a slack of 1e-6 times its largest price magnitude (at
+least 1e-6) instead of the solver-side 1e-9.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from .verify import simulate_market, verify_menu, verify_profile
 #: environment variable naming the default output directory
 OUT_ENV_VAR = "CONTRACTPRICING_OUT"
 
-#: verification slack matching the 9-significant-digit solution format
+#: verification slack matching the 9-significant-digit solution format,
+#: per unit of the largest stored price (and at least 1e-6)
 SERIALIZED_SLACK = 1e-6
 
 
@@ -108,11 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(args) -> Path:
     path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. the path names an existing file
-        raise ConfigError(f"cannot use {path} as the output directory: "
-                          f"{exc.strerror or exc}") from None
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -170,12 +171,12 @@ def _cmd_profile(args, config, out) -> _Result:
 
 def _cmd_verify(args, config, out) -> _Result:
     solution = load_solution(args.solution, config)
+    slack = SERIALIZED_SLACK * max(1.0, max(map(abs, solution.prices)))
     if config.mode == "menu":
-        report = verify_menu(solution, config.menu, slack=SERIALIZED_SLACK)
+        report = verify_menu(solution, config.menu, slack=slack)
     else:
         report = verify_profile(solution, config.profile,
-                                probes_per_band=config.probes,
-                                slack=SERIALIZED_SLACK)
+                                probes_per_band=config.probes, slack=slack)
     artifacts = {"verification.json": report.to_dict()}
     if report.passed:
         return _Result(artifacts, None, [
@@ -264,20 +265,25 @@ def run(argv) -> int:
         handler, modes = _COMMANDS[args.command]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            config = load_config(args.config)
-            if config.mode not in modes:
-                raise ConfigError(f"'{args.command}' needs a {' or '.join(modes)} "
-                                  f"config, got mode '{config.mode}'")
-            out = _out_dir(args)
-            result = handler(args, config, out)
-            for name, payload in result.artifacts.items():
-                kind = Path(name).suffix[1:]
-                if getattr(args, "format", "both") not in ("both", kind):
-                    continue
-                if kind == "json":
-                    write_json(out / name, payload)
-                else:
-                    write_csv(out / name, *payload)
+            try:
+                config = load_config(args.config)
+                if config.mode not in modes:
+                    raise ConfigError(f"'{args.command}' needs a "
+                                      f"{' or '.join(modes)} config, "
+                                      f"got mode '{config.mode}'")
+                out = _out_dir(args)
+                result = handler(args, config, out)
+                for name, payload in result.artifacts.items():
+                    kind = Path(name).suffix[1:]
+                    if getattr(args, "format", "both") not in ("both", kind):
+                        continue
+                    if kind == "json":
+                        write_json(out / name, payload)
+                    else:
+                        write_csv(out / name, *payload)
+            except OSError as exc:  # a file or directory that cannot be used
+                raise ConfigError(
+                    f"cannot use {exc.filename}: {exc.strerror}") from None
             if not args.quiet:
                 if result.table is not None:
                     _print_table(*result.table)

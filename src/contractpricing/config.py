@@ -9,8 +9,11 @@ every value rule and the scenario defaults (price_lambda 0.5, grid_n
 512, s_search_max 1e6, s_probe_max 100); their messages appear behind
 the field path, as in
 ``cost: linear slope must be nonnegative``.  Only the run-time knobs
-keep defaults and range checks here (probes 9, quad_n 256, seed 42,
-samples_per_band 1000, points 50).  ``quad_n`` is parsed, floor-checked
+keep defaults and floors here (probes 9, quad_n 256, seed 42,
+samples_per_band 1000, points 50); the ceiling of a knob is checked by
+the command that reads it.  The empirical template of a tradeoff config
+takes only qualities, tariff, cost, box and grid_n: the grid supplies
+the margins, and nothing is priced.  ``quad_n`` is parsed, floor-checked
 and hashed, but nothing reads it: the quadrature window oracle it sized
 is a test oracle now.  Dropping the key would change the hash of every
 profile scenario, and so every stored profile solution and the pinned
@@ -318,7 +321,7 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
         f"{path_prefix}cost", base_dir)
     box, box_res = _parse_box(require(raw, "box", path_prefix or "config"),
                               f"{path_prefix}box")
-    if require_margins or "margins" in raw:
+    if require_margins:
         margins, margins_res = _parse_margins(
             require(raw, "margins", path_prefix or "config"), path_prefix)
     else:
@@ -388,8 +391,7 @@ def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
         scn_raw = expect_dict(require(emp, "scenario", "empirical"),
                                "empirical.scenario")
         _reject_unknown(scn_raw, {"qualities", "tariff", "cost", "box",
-                                  "price_lambda", "grid_n"},
-                        "empirical.scenario")
+                                  "grid_n"}, "empirical.scenario")
         template, template_res = _parse_profile_core(
             scn_raw, "empirical.scenario.", base_dir, require_margins=False)
         empirical = EmpiricalGrid(template, tuple(b_grid), tuple(m_grid))

@@ -144,11 +144,6 @@ class QualityPriceMenu:
         return cls(*(number_column(entries, key) for key in ("s", "p", "net")))
 
 
-def _check_type_index(i: int, scenario: MenuScenario) -> None:
-    if not 1 <= i <= scenario.n_types:
-        raise ScenarioError(f"type index {i} outside 1..{scenario.n_types}")
-
-
 def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
     """Feasible quality interval [0, a_i] of type ``i`` (1-based).
 
@@ -157,7 +152,8 @@ def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
     degenerate interval (0, 0) when the net saving is negative everywhere
     on (0, s_search_max].
     """
-    _check_type_index(i, scenario)
+    if not 1 <= i <= scenario.n_types:
+        raise ScenarioError(f"type index {i} outside 1..{scenario.n_types}")
     cap = scenario.s_search_max
     candidates = np.geomspace(cap * 1e-15, cap, 256)
     vals = scenario._net(i, candidates)
@@ -192,7 +188,6 @@ def maximize_net(i: int, scenario: MenuScenario) -> float:
     derivative f'_i on the feasible interval, found by bisection down to
     a bracket width of ``MAXIMIZER_TOL * max(1, a_i)``.
     """
-    _check_type_index(i, scenario)
     _, a_i = feasible_interval(i, scenario)
     if a_i <= 0.0:
         raise NoInteriorMaximizerError(

@@ -220,48 +220,50 @@ def step_size(m_cur: float, m_prev: float, epsilon: float, delta: float,
     return (m_cur + m_prev) * (1.0 + 2.0 * epsilon / delta) + gap / delta
 
 
-def _increments(m, gaps, sens) -> tuple:
-    """Delta_1 = m_1 followed by one :func:`step_size` per step.
+def _increments(scenario: ProfileScenario, m, gaps) -> tuple:
+    """Delta_1 = m_1 followed by one :func:`step_size` per step 2..L.
 
     ``m`` and ``gaps`` may hold floats or numpy arrays that broadcast
-    together; ``sens`` holds the (epsilon_j, delta_j) pairs of steps 2..L.
+    together.
     """
-    return (m[0],) + tuple(step_size(m[k + 1], m[k], eps, dlt, gaps[k])
-                           for k, (eps, dlt) in enumerate(sens))
+    return (m[0],) + tuple(
+        step_size(m[j - 1], m[j - 2], *sensitivity_bounds(scenario, j),
+                  gaps[j - 2])
+        for j in range(2, scenario.n_qualities + 1))
 
 
 def step_sizes(scenario: ProfileScenario) -> tuple[float, ...]:
     """All demand increments Delta_1..Delta_L (Delta_1 = m_1)."""
-    sens = [sensitivity_bounds(scenario, j)
-            for j in range(2, scenario.n_qualities + 1)]
-    return _increments(scenario.margins.m, scenario.margins.gaps, sens)
+    return _increments(scenario, scenario.margins.m, scenario.margins.gaps)
 
 
-def _margin_conditions(scenario: ProfileScenario, b_1, m_last, deltas):
-    """Entry and demand-range conditions as ``(passed, margin)`` pairs.
+def _conditions(scenario: ProfileScenario, b, m, gaps):
+    """The achievability conditions of margins ``b``, ``m`` and ``gaps``.
 
-    ``b_1``, ``m_last`` and ``deltas`` may be floats or numpy arrays that
-    broadcast together.  The arithmetic runs in the same order either
-    way (increments summed left to right), so a grid evaluated in one
-    broadcast agrees bit for bit with one scenario at a time.
+    Returns the marginal-budget report, the increments, and the entry
+    and demand-range conditions as ``(passed, margin)`` pairs.  The
+    margins may be floats or numpy arrays that broadcast together; the
+    arithmetic runs in the same order either way (increments summed left
+    to right), so a grid evaluated in one broadcast agrees bit for bit
+    with one scenario at a time.
     """
     box = scenario.box
+    marginal = check_marginal_budget(scenario.tariff, scenario.cost, box,
+                                     scenario.grid_n)
+    deltas = _increments(scenario, m, gaps)
     s1 = scenario.qualities[0]
     entry = (float(scenario.tariff.value(box.theta_low, s1))
-             - float(scenario.cost.value(s1)) - b_1)
-    spare = box.demand_range - (sum(deltas) + m_last)
-    return (entry >= -1e-12, entry), (spare > 0.0, spare)
+             - float(scenario.cost.value(s1)) - b[0])
+    spare = box.demand_range - (sum(deltas) + m[-1])
+    return marginal, deltas, (entry >= -1e-12, entry), (spare > 0.0, spare)
 
 
 def _achievability(scenario: ProfileScenario
                    ) -> tuple[ConditionReport, tuple[float, ...]]:
     """Achievability report plus the increments it was decided on."""
-    marginal = check_marginal_budget(scenario.tariff, scenario.cost,
-                                     scenario.box, scenario.grid_n)
-    deltas = step_sizes(scenario)
     margins = scenario.margins
-    (entry_ok, entry), (spare_ok, spare) = _margin_conditions(
-        scenario, margins.b[0], margins.m[-1], deltas)
+    marginal, deltas, (entry_ok, entry), (spare_ok, spare) = _conditions(
+        scenario, margins.b, margins.m, margins.gaps)
     return ConditionReport(marginal.checks + (
         ConditionCheck("entry", entry_ok, entry, None,
                        "F(theta_low, s_1) - C(s_1) - b_1"),

@@ -20,13 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import check_marginal_budget, check_size
-from .profile import (
-    ProfileScenario,
-    _increments,
-    _margin_conditions,
-    sensitivity_bounds,
-)
+from .functions import check_size
+from .profile import ProfileScenario, _conditions
 
 # upper bounds of the boundary points and of each empirical grid axis
 MAX_POINTS = 10 ** 5
@@ -105,10 +100,9 @@ def empirical_region(scenario_template: ProfileScenario,
     Cell (i, j) reports whether the margins ``b_k = b_grid[i] * s_k``,
     ``m_k = m_grid[j] * s_k`` pass the full achievability check of the
     profile solver; the template must be a valid scenario, and its own
-    margins are ignored.  The margin-independent pieces (marginal-budget
-    scan, sensitivity bounds) are computed once; the margin-dependent
-    conditions are the solver's own predicate, evaluated once on the
-    broadcast grid, so the matrix is exactly the set of scenarios
+    margins are ignored.  The conditions are assembled by the profile
+    solver's own code, once, on the broadcast grid, so the matrix is
+    exactly the set of scenarios
     :func:`~contractpricing.profile.build_profile` accepts.
     """
     b_grid = np.asarray(b_grid, dtype=float)
@@ -120,15 +114,10 @@ def empirical_region(scenario_template: ProfileScenario,
         if not (grid[0] > 0 and np.all(np.diff(grid) > 0) and grid[-1] < np.inf):
             raise ScenarioError(f"{name} must be finite, positive and increasing")
 
-    template = scenario_template
-    marginal = check_marginal_budget(template.tariff, template.cost,
-                                     template.box, template.grid_n)
-    sens = [sensitivity_bounds(template, j)
-            for j in range(2, template.n_qualities + 1)]
     # profit floors vary down the rows, half-widths across the columns
-    b = [b_grid[:, None] * s for s in template.qualities]
-    m = [m_grid[None, :] * s for s in template.qualities]
+    b = [b_grid[:, None] * s for s in scenario_template.qualities]
+    m = [m_grid[None, :] * s for s in scenario_template.qualities]
     gaps = [y - x for x, y in zip(b, b[1:])]
-    (entry_ok, _), (spare_ok, _) = _margin_conditions(
-        template, b[0], m[-1], _increments(m, gaps, sens))
+    marginal, _, (entry_ok, _), (spare_ok, _) = _conditions(
+        scenario_template, b, m, gaps)
     return marginal.passed & entry_ok & spare_ok

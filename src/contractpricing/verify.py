@@ -231,9 +231,6 @@ class BandStats:
     profit_target: float
     meets_profit_target: bool
 
-    def to_dict(self) -> dict:
-        return null_non_finite(asdict(self))
-
 
 @dataclass(frozen=True)
 class OutOfBandStats:
@@ -247,9 +244,6 @@ class OutOfBandStats:
     samples: int
     fraction_affordable: float
     min_saving: float
-
-    def to_dict(self) -> dict:
-        return null_non_finite(asdict(self))
 
 
 @dataclass(frozen=True)

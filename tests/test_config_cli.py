@@ -251,6 +251,14 @@ class TestRuleOwners:
                           r"tariff\.family: unknown family"),
         "box_order": (PROFILE_CONFIG, {"box.s_up": 0.5},
                       "box: quality bounds must satisfy"),
+        "quality_outside_box": (PROFILE_CONFIG, {"qualities.2": 3.5},
+                                r"qualities must lie within \[s_low, s_up\]"),
+        "gap_length": (PROFILE_CONFIG, {"margins.gap": [0.1]},
+                       "margins.gap must have one entry per consecutive pair"),
+        "first_profit_floor": (PROFILE_CONFIG, {"margins.b.0": 0.0},
+                               "margins.b must be positive"),
+        "price_lambda": (PROFILE_CONFIG, {"price_lambda": 1.5},
+                         r"price_lambda must lie in \[0, 1\]"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -277,6 +285,20 @@ class TestRuleOwners:
         with pytest.raises(ConfigError,
                            match="empirical.scenario.grid_n must be at least 16"):
             load_config(write_config(tmp_path, payload))
+
+    def test_template_takes_no_price_lambda(self, tmp_path, capsys):
+        # the grid prices nothing, so the key would only change the hash
+        scenario = {key: PROFILE_CONFIG[key] for key in
+                    ("qualities", "tariff", "cost", "box")}
+        payload = dict(TRADEOFF_CONFIG, empirical={
+            "b_grid": [0.05], "m_grid": [0.002],
+            "scenario": dict(scenario, price_lambda=0.5)})
+        config = write_config(tmp_path, payload)
+        assert run(["tradeoff", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == ("empirical.scenario: unknown key(s): "
+                                    "price_lambda")
 
 
 class TestCliMenu:
@@ -354,6 +376,22 @@ class TestCliVerifySimulate:
         out = tmp_path / "out"
         assert run(["menu", config, "--out", str(out), "--quiet"]) == 0
         assert run(["verify", config, str(out / "menu.json"),
+                    "--out", str(out), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("base, changes", [
+        (MENU_CONFIG, {f"budgets.{i}.base.scale": 2200.0 for i in range(3)}),
+        (PROFILE_CONFIG, {"tariff.d_p": 4000.0, "cost.slope": 1000.0,
+                          "margins.b": [100.0, 200.0, 300.0]}),
+    ], ids=["menu", "profile"])
+    def test_roundtrip_verify_at_large_prices(self, tmp_path, base, changes):
+        # prices in the thousands: 9 stored digits round them by more
+        # than 1e-6, so the stored-solution slack scales with the prices
+        config = write_config(tmp_path, edited(base, changes))
+        mode, out = base["mode"], tmp_path / "out"
+        assert run([mode, config, "--out", str(out), "--quiet"]) == 0
+        stored = json.loads((out / f"{mode}.json").read_text())
+        assert min(e["p"] for e in stored["entries"]) > 1000.0
+        assert run(["verify", config, str(out / f"{mode}.json"),
                     "--out", str(out), "--quiet"]) == 0
 
     def test_hash_drift_detected(self, tmp_path):
@@ -847,6 +885,28 @@ class TestCliErrorContract:
         error = self.error_of(result, 2)
         assert error["type"] == "ConfigError"
         assert str(blocker) in error["message"]
+
+    def test_artifact_onto_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, MENU_CONFIG)
+        target = tmp_path / "o" / "menu.json"
+        target.mkdir(parents=True)
+        assert run(["menu", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"cannot use {target}: ")
+
+    def test_unreadable_config(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, MENU_CONFIG)
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert run(["check", config, "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == f"cannot use {config}: Permission denied"
 
     def test_config_not_utf8(self, tmp_path):
         config = tmp_path / "config.json"

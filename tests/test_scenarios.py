@@ -9,18 +9,27 @@ import pytest
 
 from contractpricing import (
     BilinearTariff,
+    DemandPriceProfile,
     DomainBox,
     LinearFunction,
     MarginSpec,
     MenuScenario,
+    NoInteriorMaximizerError,
     ProfileScenario,
+    ScaledFunction,
     ScenarioError,
+    TabulatedFunction,
     build_profile,
     check_achievability,
     check_marginal_budget,
     check_menu_regularity,
     empirical_region,
+    feasible_interval,
+    maximize_net,
+    price_window,
+    sensitivity_bounds,
     solve_menu,
+    verify_profile,
 )
 from conftest import make_bilinear_profile_scenario, make_log_menu_scenario
 
@@ -98,3 +107,53 @@ def test_non_finite_value_is_a_scenario_error(case):
     build, message = NON_FINITE[case]
     with pytest.raises(ScenarioError, match=message):
         build()
+
+
+#: (call, message) of each in-process rule that no config reaches;
+#: every call fails before any work is done
+IN_PROCESS = {
+    "no_qualities": (lambda: dataclasses.replace(
+        make_bilinear_profile_scenario(), qualities=()),
+        "at least one quality is required"),
+    "no_budgets": (lambda: dataclasses.replace(
+        make_log_menu_scenario(), budgets=()),
+        "at least one budget function is required"),
+    "feasible_interval_type": (lambda: feasible_interval(
+        0, make_log_menu_scenario()),
+        r"type index 0 outside 1\.\.3"),
+    "maximize_net_type": (lambda: maximize_net(4, make_log_menu_scenario()),
+                          r"type index 4 outside 1\.\.3"),
+    "sensitivity_bounds_step": (lambda: sensitivity_bounds(
+        make_bilinear_profile_scenario(), 1),
+        r"step index 1 outside 2\.\.3"),
+    "price_window_step": (lambda: price_window(
+        make_bilinear_profile_scenario(), 4, 0.5, 1.0, 0.9),
+        r"step index 4 outside 2\.\.3"),
+    "empirical_region_2d": (lambda: empirical_region(
+        make_bilinear_profile_scenario(), [[0.05, 0.1]], [0.002]),
+        "b_grid must be a 1-D grid"),
+    "verify_profile_entries": (lambda: verify_profile(
+        DemandPriceProfile((0.5,), (1.5,), ((1.1, 2.0),), (0.01,)),
+        make_bilinear_profile_scenario()),
+        "profile has 1 entries but scenario declares 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_PROCESS))
+def test_in_process_rule(case):
+    call, message = IN_PROCESS[case]
+    with pytest.raises(ScenarioError, match=message):
+        call()
+
+
+def test_net_saving_falling_at_zero_has_no_interior_maximizer():
+    # f = P - C is negative just above 0 and positive on (4/3, 3.5), so
+    # the feasible interval is not degenerate but f'(0+) = -0.5
+    budget = TabulatedFunction([0.0, 1.0, 2.0, 3.0, 10.0],
+                               [0.0, 0.5, 3.0, 3.5, 3.5])
+    cost = LinearFunction(1.0)
+    scenario = MenuScenario((budget,), cost, ScaledFunction(cost, 0.0),
+                            s_search_max=10.0, s_probe_max=10.0)
+    assert feasible_interval(1, scenario)[1] == pytest.approx(3.5)
+    with pytest.raises(NoInteriorMaximizerError, match="nonincreasing at 0"):
+        maximize_net(1, scenario)

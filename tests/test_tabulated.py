@@ -90,6 +90,16 @@ class TestTabulatedFunction:
     def test_scalar_in_scalar_out(self):
         assert isinstance(self.FUNC.derivative(1.0), float)
 
+    def test_non_finite_data_rejected(self):
+        ys = YS.copy()
+        ys[7] = np.inf
+        with pytest.raises(ScenarioError, match="tabulated data must be finite"):
+            TabulatedFunction(XS, ys)
+
+    def test_single_knot_rejected(self):
+        with pytest.raises(ScenarioError, match="two equal 1-D columns"):
+            TabulatedFunction([0.5], [1.0])
+
 
 class TestTabulatedTariff:
     TARIFF = TabulatedTariff(THETAS, SS, VALUES)
@@ -186,3 +196,15 @@ class TestTabulatedTariff:
     def test_single_knot_axis_rejected(self):
         with pytest.raises(ScenarioError, match="knots per axis"):
             TabulatedTariff([0.5], [1.0, 2.0], [[1.0, 2.0]])
+
+    def test_non_finite_value_rejected(self):
+        values = VALUES.copy()
+        values[3, 4] = np.nan
+        with pytest.raises(ScenarioError, match="grids and values must be finite"):
+            TabulatedTariff(THETAS, SS, values)
+
+    def test_non_increasing_grid_rejected(self):
+        thetas = THETAS.copy()
+        thetas[5] = thetas[4]
+        with pytest.raises(ScenarioError, match="grids must be strictly increasing"):
+            TabulatedTariff(thetas, SS, VALUES)

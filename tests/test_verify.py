@@ -11,10 +11,14 @@ import pytest
 
 from contractpricing import (
     BilinearTariff,
+    DemandPriceProfile,
+    DomainBox,
     DomainError,
+    LinearFunction,
     LogFunction,
     MarginSpec,
     PowerFunction,
+    ProfileScenario,
     QualityPriceMenu,
     ScenarioError,
     SeparableTariff,
@@ -208,6 +212,17 @@ class TestSimulateMarket:
         assert oob is not None
         assert oob.samples == 400
         assert oob.fraction_affordable == 1.0
+
+    def test_bands_cover_demand_range(self):
+        # one band spans [theta_low, theta_up] exactly: no demand is out of band
+        scenario = ProfileScenario((1.0,), BilinearTariff(4.0),
+                                   LinearFunction(1.0),
+                                   DomainBox(0.25, 0.75, 1.0, 3.0),
+                                   MarginSpec(b=(0.1,), m=(0.25,)))
+        profile = DemandPriceProfile((0.5,), (1.05,), ((1.1, 1.0),), (0.25,))
+        report = simulate_market(profile, scenario, 100, 5)
+        assert report.out_of_band is None
+        assert json.loads(dumps_canonical(report.to_dict()))["out_of_band"] is None
 
 
 def tabulated_profile_scenario():
