@@ -34,10 +34,10 @@ environment variable, else the working directory).  ``menu``,
 (default: both JSON and CSV); the other commands write JSON only and
 take no ``--format``.  Solution JSON embeds the
 scenario hash so that ``verify`` and ``simulate`` can detect
-configuration drift.  Because solution files round floats to 9
-significant digits, a relative error, ``verify`` re-certifies a stored
-solution with a slack of 1e-6 times its largest price magnitude (at
-least 1e-6) instead of the solver-side 1e-9.
+configuration drift.  Every margin check counts a margin against a
+tolerance relative to the magnitudes that formed it (the solvers' is
+1e-9 of them).  Because solution files round floats to 9 significant
+digits, ``verify`` re-certifies a stored solution at 1e-6 of them.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from .verify import simulate_market, verify_menu, verify_profile
 #: environment variable naming the default output directory
 OUT_ENV_VAR = "CONTRACTPRICING_OUT"
 
-#: verification slack matching the 9-significant-digit solution format,
-#: per unit of the largest stored price (and at least 1e-6)
+#: relative verification slack matching the 9-significant-digit solution
+#: format
 SERIALIZED_SLACK = 1e-6
 
 
@@ -171,12 +171,11 @@ def _cmd_profile(args, config, out) -> _Result:
 
 def _cmd_verify(args, config, out) -> _Result:
     solution = load_solution(args.solution, config)
-    slack = SERIALIZED_SLACK * max(1.0, max(map(abs, solution.prices)))
     if config.mode == "menu":
-        report = verify_menu(solution, config.menu, slack=slack)
+        report = verify_menu(solution, config.menu, slack=SERIALIZED_SLACK)
     else:
-        report = verify_profile(solution, config.profile,
-                                probes_per_band=config.probes, slack=slack)
+        report = verify_profile(solution, config.profile, probes_per_band=config.probes,
+                                slack=SERIALIZED_SLACK)
     artifacts = {"verification.json": report.to_dict()}
     if report.passed:
         return _Result(artifacts, None, [

@@ -28,17 +28,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 ArrayLike = Union[float, np.ndarray]
 
-#: slack used when certifying convexity/concavity from second differences
-CURVATURE_SLACK = 1e-9
-
-#: strict-inequality margin for the single crossing check
-CROSSING_MARGIN = 1e-12
+#: relative tolerance of every margin check (see :func:`tolerance`)
+REL_TOL = 1e-9
 
 #: default number of grid points for all condition scans
 DEFAULT_GRID_N = 512
 
 #: largest grid accepted by the condition scans (work grows as grid_n**2)
 MAX_GRID_N = 1 << 16
+
+
+def tolerance(*terms: ArrayLike, rel: float = REL_TOL) -> ArrayLike:
+    """``rel`` times the largest magnitude of the finite terms that formed a
+    margin, elementwise over arrays.  A check passes when ``margin >=
+    -tolerance`` (non-strict) or ``margin > tolerance`` (strict)."""
+    if all(isinstance(t, (int, float)) for t in terms):  # one margin: skip numpy
+        return rel * max((abs(t) for t in terms if math.isfinite(t)), default=0.0)
+    mags = np.abs(np.broadcast_arrays(*terms))
+    return rel * np.where(np.isfinite(mags), mags, 0.0).max(axis=0)
 
 
 def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
@@ -466,7 +473,7 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
       the plain break-even case and is accepted.)
     * a2: each budget strictly increasing, concave, vanishing at the
       origin; consecutive budgets satisfy the single crossing condition
-      P'_i < P'_{i+1} with a strict numeric margin.
+      P'_i < P'_{i+1} by more than the tolerance.
     * a3: the lowest type can afford some quality at cost-plus-profit,
       and the highest type cannot afford arbitrarily high quality.  The
       second witness may lie beyond the probe window, so the scan keeps
@@ -481,15 +488,16 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
 
     checks: list[ConditionCheck] = []
 
-    def zero_at_origin(cid, func):
+    def zero_at_origin(cid, func, values):
+        # relative to the function's magnitude on the probe grid
         v0 = abs(float(func._value(np.asarray(0.0))))
-        checks.append(ConditionCheck(cid, v0 <= 1e-12, -v0, 0.0 if v0 > 1e-12 else None,
-                                     "value at 0"))
+        ok = bool(v0 <= np.max(tolerance(values)))
+        checks.append(ConditionCheck(cid, ok, -v0, None if ok else 0.0, "value at 0"))
 
     def monotone(cid, values, strict):
         diffs = np.diff(values)
         margin, witness = _min_with_witness(diffs, grid[1:])
-        ok = margin > 0 if strict else margin >= -1e-12
+        ok = margin > 0 if strict else np.all(diffs >= -tolerance(values[1:], values[:-1]))
         checks.append(ConditionCheck(cid, bool(ok), margin,
                                      None if ok else witness,
                                      "min forward difference"))
@@ -501,30 +509,31 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
         else:
             k = int(np.argmax(d2))
             margin, witness = -float(d2[k]), float(grid[1 + k])
-        ok = margin >= -CURVATURE_SLACK
+        tol = tolerance(values[2:], 2.0 * values[1:-1], values[:-2])
+        ok = np.all((d2 if convex else -d2) >= -tol)
         checks.append(ConditionCheck(cid, bool(ok), margin,
                                      None if ok else witness,
                                      "second differences, %s" % ("convex" if convex else "concave")))
 
     c_vals = np.asarray(cost._value(grid))
     b_vals = np.asarray(profit._value(grid))
-    zero_at_origin("a1.cost_zero_at_origin", cost)
+    zero_at_origin("a1.cost_zero_at_origin", cost, c_vals)
     monotone("a1.cost_strictly_increasing", c_vals, strict=True)
     curvature("a1.cost_convex", c_vals, convex=True)
-    zero_at_origin("a1.profit_zero_at_origin", profit)
+    zero_at_origin("a1.profit_zero_at_origin", profit, b_vals)
     monotone("a1.profit_nondecreasing", b_vals, strict=False)
     curvature("a1.profit_convex", b_vals, convex=True)
 
     for idx, p in enumerate(budgets, start=1):
         p_vals = np.asarray(p._value(grid))
-        zero_at_origin(f"a2.budget{idx}_zero_at_origin", p)
+        zero_at_origin(f"a2.budget{idx}_zero_at_origin", p, p_vals)
         monotone(f"a2.budget{idx}_strictly_increasing", p_vals, strict=True)
         curvature(f"a2.budget{idx}_concave", p_vals, convex=False)
     for idx in range(len(budgets) - 1):
         d_lo = np.asarray(budgets[idx]._derivative(grid))
         d_hi = np.asarray(budgets[idx + 1]._derivative(grid))
         margin, witness = _min_with_witness(d_hi - d_lo, grid)
-        ok = margin >= CROSSING_MARGIN
+        ok = np.all(d_hi - d_lo > tolerance(d_hi, d_lo))
         checks.append(ConditionCheck(f"a2.single_crossing_{idx + 1}_{idx + 2}",
                                      bool(ok), margin, None if ok else witness,
                                      "min derivative gap between consecutive budgets"))
@@ -580,19 +589,17 @@ def check_marginal_budget(tariff: TariffFunction,
     theta_grid = np.linspace(box.theta_low, box.theta_up, grid_n)
     s_grid = np.linspace(box.s_low, box.s_up, grid_n)
     c_prime = np.asarray(cost.derivative(s_grid))
-    worst = math.inf
-    witness = (box.theta_low, box.s_low)
-    for s, c_s in zip(s_grid, c_prime):
-        _, f_s, _ = tariff.partials(theta_grid, float(s))
-        f_s = np.asarray(f_s)
-        k = int(np.argmin(f_s))
-        margin = float(f_s[k]) - float(c_s)
-        if margin < worst or math.isnan(margin):
-            worst = margin
-            witness = (float(theta_grid[k]), float(s))
-            if math.isnan(margin):
-                break  # fail closed at the first NaN point
-    ok = worst >= -1e-12
+    f_s_min = np.empty(grid_n)
+    at = np.empty(grid_n, dtype=int)
+    for i, s in enumerate(s_grid):
+        f_s = np.asarray(tariff.partials(theta_grid, float(s))[1])
+        at[i] = np.argmin(f_s)
+        f_s_min[i] = f_s[at[i]]
+    margins = f_s_min - c_prime
+    i = int(np.argmin(margins))  # the first NaN, if any: a NaN fails closed
+    worst = float(margins[i])
+    witness = (float(theta_grid[at[i]]), float(s_grid[i]))
+    ok = np.all(margins >= -tolerance(f_s_min, c_prime))
     check = ConditionCheck("marginal_budget", bool(ok), worst,
                            witness[0] if not ok else None,
                            f"min_theta F_s - C' attained at (theta={witness[0]:g}, s={witness[1]:g})")

@@ -42,11 +42,9 @@ from .functions import (
     TariffFunction,
     check_marginal_budget,
     check_size,
+    tolerance,
 )
 from .verify import verify_profile
-
-#: absolute slack below which an inverted price window is tolerated
-WINDOW_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class MarginSpec:
         if len(gaps) != n_qualities - 1:
             raise ScenarioError("margins.gap must have one entry per consecutive pair")
         for k, g in enumerate(gaps):
-            if g < self.b[k + 1] - self.b[k] - 1e-12:
+            if g - (self.b[k + 1] - self.b[k]) < -tolerance(g, self.b[k + 1], self.b[k]):
                 raise ScenarioError(
                     f"margins.gap[{k}] = {g:g} below the profit increment "
                     f"{self.b[k + 1] - self.b[k]:g}")
@@ -252,10 +250,12 @@ def _conditions(scenario: ProfileScenario, b, m, gaps):
                                      scenario.grid_n)
     deltas = _increments(scenario, m, gaps)
     s1 = scenario.qualities[0]
-    entry = (float(scenario.tariff.value(box.theta_low, s1))
-             - float(scenario.cost.value(s1)) - b[0])
+    f_entry = float(scenario.tariff.value(box.theta_low, s1))
+    cost = float(scenario.cost.value(s1))
+    entry = f_entry - cost - b[0]
     spare = box.demand_range - (sum(deltas) + m[-1])
-    return marginal, deltas, (entry >= -1e-12, entry), (spare > 0.0, spare)
+    return (marginal, deltas, (entry >= -tolerance(f_entry, cost, b[0]), entry),
+            (spare > 0.0, spare))
 
 
 def _achievability(scenario: ProfileScenario
@@ -296,8 +296,8 @@ def price_window(scenario: ProfileScenario, j: int, theta_prev: float,
     previous nominal demand, ``B_j`` by incentive compatibility at the
     new one.  Both are exact tariff differences (the line integrals of
     F_s and F_theta telescoped by the fundamental theorem of calculus).
-    Raises :class:`EmptyPriceWindowError` when A_j exceeds B_j beyond a
-    small absolute slack.
+    Raises :class:`EmptyPriceWindowError` when A_j exceeds B_j by more
+    than the tolerance of the price and tariff values that formed them.
     """
     if not 2 <= j <= scenario.n_qualities:
         raise ScenarioError(f"step index {j} outside 2..{scenario.n_qualities}")
@@ -308,11 +308,11 @@ def price_window(scenario: ProfileScenario, j: int, theta_prev: float,
     gap_prev = scenario.margins.gaps[j - 2]
     F = scenario.tariff.value
 
-    a_j = (p_prev + F(theta_prev + m_prev, s_cur)
-           - F(theta_prev - m_prev, s_prev) + gap_prev)
-    b_j = (p_prev + F(theta_j - m_cur, s_cur)
-           - F(theta_j + m_cur, s_prev))
-    if a_j > b_j + WINDOW_SLACK:
+    f_a, f_a_prev = F(theta_prev + m_prev, s_cur), F(theta_prev - m_prev, s_prev)
+    f_b, f_b_prev = F(theta_j - m_cur, s_cur), F(theta_j + m_cur, s_prev)
+    a_j = p_prev + f_a - f_a_prev + gap_prev
+    b_j = p_prev + f_b - f_b_prev
+    if a_j - b_j > tolerance(p_prev, f_a, f_a_prev, f_b, f_b_prev, gap_prev):
         raise EmptyPriceWindowError(
             f"empty price window at step {j}: A_{j} = {a_j:.12g} exceeds "
             f"B_{j} = {b_j:.12g}")
@@ -354,7 +354,7 @@ def build_profile(scenario: ProfileScenario) -> DemandPriceProfile:
         prices.append(a_j + lam * max(0.0, b_j - a_j))
         windows.append((a_j, b_j))
 
-    if demands[-1] + m[-1] > box.theta_up + 1e-12:
+    if demands[-1] + m[-1] - box.theta_up > tolerance(demands[-1], m[-1], box.theta_up):
         raise CertificationError(
             f"final band exceeds the demand range: theta_L + m_L = "
             f"{demands[-1] + m[-1]:.12g} > theta_up = {box.theta_up:.12g}")

@@ -17,18 +17,12 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import check_size
+from .functions import REL_TOL, check_size, tolerance
 from .serialize import null_non_finite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .menu import MenuScenario, QualityPriceMenu
     from .profile import DemandPriceProfile, ProfileScenario
-
-#: default slack below which a signed margin counts as a violation
-DEFAULT_SLACK = 1e-9
-
-#: tie tolerance of the simulated users' choice
-CHOICE_TIE_TOL = 1e-9
 
 #: users the simulator evaluates at once: a block's savings at every
 #: quality stay in cache, and the simulation's memory does not grow with
@@ -76,10 +70,11 @@ class VerificationReport:
 
 
 class _Margins:
-    """Accumulates signed margins and flags those below the slack.
+    """Accumulates signed margins and flags those below the tolerance.
 
-    Fails closed: a margin that is not ``>= -slack`` (NaN included) is a
-    violation, and a NaN margin stays the worst one.
+    Fails closed: a margin that is not ``>= -tolerance(*terms,
+    rel=slack)`` (NaN included) is a violation, and a NaN margin stays
+    the worst one.
     """
 
     def __init__(self, slack: float):
@@ -88,10 +83,10 @@ class _Margins:
         self.violations: list[Violation] = []
 
     def add(self, constraint: str, k: int, l: Optional[int], margin: float,
-            witness: dict) -> None:
+            witness: dict, *terms: float) -> None:
         if margin < self.worst or math.isnan(margin):
             self.worst = margin
-        if not margin >= -self.slack:
+        if not margin >= -tolerance(*terms, rel=self.slack):
             self.violations.append(Violation(constraint, k, l, float(margin), witness))
 
     def report(self) -> VerificationReport:
@@ -103,13 +98,14 @@ class _Margins:
 
 
 def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
-                slack: float = DEFAULT_SLACK) -> VerificationReport:
+                slack: float = REL_TOL) -> VerificationReport:
     """Check a menu against the rationality and incentive constraints.
 
     For every type k: the budget at the assigned quality covers the
     price, the price covers cost plus target profit, and no other entry
-    offers a larger saving.  Exact arithmetic on the supplied function
-    evaluations; report-valued.
+    offers a larger saving.  ``slack`` is relative: each margin may fall
+    short of zero by ``slack`` times the largest magnitude of the budget
+    values, prices, costs and targets that formed it.  Report-valued.
     """
     n = len(menu.qualities)
     if n != scenario.n_types:
@@ -126,16 +122,17 @@ def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
         budget = budgets_at[k][k]
         floor = float(scenario.cost.value(s_k)) + float(scenario.profit.value(s_k))
         acc.add("IR.budget", k + 1, None, budget - p_k,
-                {"budget": budget, "price": p_k})
+                {"budget": budget, "price": p_k}, budget, p_k)
         acc.add("IR.profit", k + 1, None, p_k - floor,
-                {"price": p_k, "cost_plus_profit": floor})
+                {"price": p_k, "cost_plus_profit": floor}, p_k, floor)
         own_saving = budget - p_k
         for l in range(n):
             if l == k:
                 continue
             other_saving = budgets_at[k][l] - menu.prices[l]
             acc.add("IC", k + 1, l + 1, own_saving - other_saving,
-                    {"own_saving": own_saving, "other_saving": other_saving})
+                    {"own_saving": own_saving, "other_saving": other_saving},
+                    budget, p_k, budgets_at[k][l], menu.prices[l])
     return acc.report()
 
 
@@ -147,7 +144,7 @@ def _band_probes(theta_k: float, m_k: float, probes_per_band: int) -> np.ndarray
 
 def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
                    probes_per_band: int = 9,
-                   slack: float = DEFAULT_SLACK) -> VerificationReport:
+                   slack: float = REL_TOL) -> VerificationReport:
     """Check a profile against rationality, incentive and premium constraints.
 
     Each satisfaction band is probed at its endpoints, its center and
@@ -156,7 +153,7 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     Per band k: affordability and the profit floor hold at every probe,
     quality s_k saves at least as much as any other quality, and for
     k < L the savings premium over the next quality meets the gap.
-    Report-valued.
+    ``slack`` is relative, as in :func:`verify_menu`.  Report-valued.
     """
     check_size("probes_per_band", probes_per_band, 3, MAX_PROBES_PER_BAND)
     n = len(profile.demands)
@@ -185,11 +182,11 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
         worst = int(np.argmin(own_saving))
         acc.add("IR.budget", k + 1, None, float(own_saving[worst]),
                 {"theta": float(probes[worst]), "tariff": float(values[k, worst]),
-                 "price": p_k})
+                 "price": p_k}, float(values[k, worst]), p_k)
 
         floor = float(scenario.cost.value(s[k])) + b[k]
         acc.add("IR.profit", k + 1, None, p_k - floor,
-                {"price": p_k, "cost_plus_target": floor})
+                {"price": p_k, "cost_plus_target": floor}, p_k, floor)
 
         for l in range(n):
             if l == k:
@@ -200,14 +197,17 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
             acc.add("IC", k + 1, l + 1, float(diff[worst]),
                     {"theta": float(probes[worst]),
                      "own_saving": float(own_saving[worst]),
-                     "other_saving": float(other_saving[worst])})
+                     "other_saving": float(other_saving[worst])},
+                    float(values[k, worst]), p_k, float(values[l, worst]),
+                    profile.prices[l])
 
     for k in range(n - 1):
-        theta_k, p_k = profile.demands[k], profile.prices[k]
-        omega = float(F(theta_k - m[k], s[k])) - p_k
-        rhs = gaps[k] + float(F(theta_k + m[k], s[k + 1])) - profile.prices[k + 1]
+        theta_k, p_k, p_next = profile.demands[k], profile.prices[k], profile.prices[k + 1]
+        f_low, f_next = float(F(theta_k - m[k], s[k])), float(F(theta_k + m[k], s[k + 1]))
+        omega, rhs = f_low - p_k, gaps[k] + f_next - p_next
         acc.add("profit_constraint", k + 1, k + 2, omega - rhs,
-                {"saving_floor": omega, "next_quality_pull": rhs})
+                {"saving_floor": omega, "next_quality_pull": rhs},
+                f_low, p_k, gaps[k], f_next, p_next)
 
     return acc.report()
 
@@ -271,11 +271,11 @@ def _block_savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
         yield block, savings
 
 
-def _picks(savings: np.ndarray, k: int) -> np.ndarray:
+def _picks(savings: np.ndarray, k: int, tie: float) -> np.ndarray:
     """Whether each user (column) picks quality k: the lowest index whose
-    saving is within ``CHOICE_TIE_TOL`` of the best.  A user with a NaN
-    saving has no best and picks no quality."""
-    top = savings >= savings.max(axis=0) - CHOICE_TIE_TOL
+    saving is within ``tie`` of the best.  A user with a NaN saving has no
+    best and picks no quality."""
+    top = savings >= savings.max(axis=0) - tie
     return top[k] & ~top[:k].any(axis=0)
 
 
@@ -283,9 +283,10 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
                     samples_per_band: int, rng_seed: int) -> MarketSimReport:
     """Simulate utility-maximizing users drawn uniformly in each band.
 
-    Every sampled user picks the quality with the largest saving; the
-    report records the fraction that picked the intended quality, the
-    saving statistics and the provider's per-sale profit.  Demands
+    Every sampled user picks the quality with the largest saving (the
+    lowest of those within the tolerance of the prices); the report
+    records the fraction that picked the intended quality, the saving
+    statistics and the provider's per-sale profit.  Demands
     outside every band are sampled separately (one band's worth of
     draws over the complement) and checked for affordability only.
     Sampling is deterministic in ``rng_seed``: each band uses an
@@ -301,6 +302,7 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     s = scenario.qualities
     m = scenario.margins.m
     b = scenario.margins.b
+    tie = tolerance(*profile.prices)
 
     bands: list[BandStats] = []
     for k in range(n):
@@ -311,8 +313,9 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
         intended = 0
         for block, savings in _block_savings(profile, scenario, draws):
             own[block] = savings[k]
-            intended += int(np.count_nonzero(_picks(savings, k)))
-        profit = profile.prices[k] - float(scenario.cost.value(s[k]))
+            intended += int(np.count_nonzero(_picks(savings, k, tie)))
+        cost = float(scenario.cost.value(s[k]))
+        profit = profile.prices[k] - cost
         bands.append(BandStats(
             k=k + 1,
             theta=profile.demands[k],
@@ -323,7 +326,7 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
             mean_saving=float(np.mean(own)),
             provider_profit=profit,
             profit_target=b[k],
-            meets_profit_target=bool(profit >= b[k] - 1e-12),
+            meets_profit_target=bool(profit >= b[k] - tolerance(profile.prices[k], cost, b[k])),
         ))
 
     out = _simulate_out_of_band(profile, scenario, samples_per_band, rng_seed)

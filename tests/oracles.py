@@ -27,9 +27,14 @@ oracles and the library code they check:
   when they broadcast theta and s before their cell lookups.
 * ``oracle_region`` checks :func:`contractpricing.tradeoff.empirical_region`
   with one ``check_achievability`` call per grid cell.
+* ``exact_profile_margins`` checks
+  :func:`contractpricing.verify.verify_profile`, and calibrates
+  ``REL_TOL``: it recomputes the verifier's margins in exact rational
+  arithmetic, for a bilinear tariff and a linear cost.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,14 +45,9 @@ from contractpricing import (
     Violation,
     check_achievability,
 )
-from contractpricing.functions import check_size
+from contractpricing.functions import check_size, tolerance
 from contractpricing.menu import MAXIMIZER_TOL, ROOT_TOL
-from contractpricing.verify import (
-    CHOICE_TIE_TOL,
-    BandStats,
-    MarketSimReport,
-    OutOfBandStats,
-)
+from contractpricing.verify import BandStats, MarketSimReport, OutOfBandStats, _band_probes
 
 # ---------------------------------------------------------------------------
 # price windows by quadrature
@@ -206,7 +206,9 @@ def checked_menu(scenario):
 def oracle_simulate(profile, scenario, samples_per_band, rng_seed):
     """The simulator as it was before blockwise evaluation: one tariff call
     per quality, the rows stacked into a qualities x samples matrix, and
-    each user's choice from an argmax over the qualities."""
+    each user's choice from an argmax over the qualities.  Ties and the
+    profit target use the library's ``tolerance``."""
+    tie = tolerance(*profile.prices)
 
     def savings_of(draws):
         return np.stack([np.asarray(scenario.tariff.value(draws, s_l), dtype=float) - p_l
@@ -214,7 +216,7 @@ def oracle_simulate(profile, scenario, samples_per_band, rng_seed):
 
     def choices(savings):
         best = savings.max(axis=0)
-        return np.asarray(savings >= best - CHOICE_TIE_TOL).argmax(axis=0)
+        return np.asarray(savings >= best - tie).argmax(axis=0)
 
     n = len(profile.demands)
     s, m, b = scenario.qualities, scenario.margins.m, scenario.margins.b
@@ -224,13 +226,15 @@ def oracle_simulate(profile, scenario, samples_per_band, rng_seed):
         lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
         savings = savings_of(rng.uniform(lo, hi, samples_per_band))
         own = savings[k]
-        profit = profile.prices[k] - float(scenario.cost.value(s[k]))
+        cost = float(scenario.cost.value(s[k]))
+        profit = profile.prices[k] - cost
         bands.append(BandStats(
             k=k + 1, theta=profile.demands[k], quality=s[k], price=profile.prices[k],
             fraction_intended=float(np.mean(choices(savings) == k)),
             min_saving=float(np.min(own)), mean_saving=float(np.mean(own)),
             provider_profit=profit, profit_target=b[k],
-            meets_profit_target=bool(profit >= b[k] - 1e-12)))
+            meets_profit_target=bool(
+                profit >= b[k] - tolerance(profile.prices[k], cost, b[k]))))
 
     box = scenario.box
     segments, cursor = [], box.theta_low
@@ -351,3 +355,37 @@ def oracle_region(template, b_grid, m_grid):
             scenario = dataclasses.replace(template, margins=margins)
             result[i, j] = check_achievability(scenario).passed
     return result
+
+
+# ---------------------------------------------------------------------------
+# exact certificates
+# ---------------------------------------------------------------------------
+
+def exact_profile_margins(profile, scenario, probes_per_band=9):
+    """``verify_profile``'s margins at its own probes, in ``Fraction``
+    arithmetic on the same float inputs, for a ``BilinearTariff`` and a
+    ``LinearFunction`` cost: a list of ``(margin, terms)``, where ``terms``
+    are the values that formed the margin."""
+    d_p, slope = Fraction(scenario.tariff.d_p), Fraction(scenario.cost.slope)
+    s = [Fraction(x) for x in scenario.qualities]
+    p = [Fraction(x) for x in profile.prices]
+    b = [Fraction(x) for x in scenario.margins.b]
+    m, gaps = scenario.margins.m, scenario.margins.gaps
+    n = len(p)
+    out = []
+    for k in range(n):
+        for theta in map(Fraction, _band_probes(profile.demands[k], m[k], probes_per_band)):
+            f = [d_p * theta * s_l for s_l in s]
+            out.append((f[k] - p[k], (f[k], p[k])))
+            out += [((f[k] - p[k]) - (f[l] - p[l]), (f[k], p[k], f[l], p[l]))
+                    for l in range(n) if l != k]
+        floor = slope * s[k] + b[k]
+        out.append((p[k] - floor, (p[k], floor)))
+    for k in range(n - 1):
+        # the verifier's band ends, rounded as it rounds them
+        f_low = d_p * Fraction(profile.demands[k] - m[k]) * s[k]
+        f_next = d_p * Fraction(profile.demands[k] + m[k]) * s[k + 1]
+        gap = Fraction(gaps[k])
+        out.append(((f_low - p[k]) - (gap + f_next - p[k + 1]),
+                    (f_low, p[k], gap, f_next, p[k + 1])))
+    return out

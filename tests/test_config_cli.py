@@ -394,6 +394,22 @@ class TestCliVerifySimulate:
         assert run(["verify", config, str(out / f"{mode}.json"),
                     "--out", str(out), "--quiet"]) == 0
 
+    def test_roundtrip_verify_at_small_prices(self, tmp_path):
+        # prices near 1e-9: the stored-solution slack is relative, so it
+        # still rejects the solution with every price doubled
+        config = write_config(tmp_path, edited(PROFILE_CONFIG, {
+            "tariff.d_p": 4e-9, "cost.slope": 1e-9, "margins.b": [1e-10, 2e-10, 3e-10]}))
+        out = tmp_path / "out"
+        assert run(["profile", config, "--out", str(out), "--quiet"]) == 0
+        assert run(["verify", config, str(out / "profile.json"),
+                    "--out", str(out), "--quiet"]) == 0
+        solution = json.loads((out / "profile.json").read_text())
+        for entry in solution["entries"]:
+            entry["p"] *= 2.0
+        doubled = out / "doubled.json"
+        doubled.write_text(json.dumps(solution))
+        assert run(["verify", config, str(doubled), "--out", str(out), "--quiet"]) == 3
+
     def test_hash_drift_detected(self, tmp_path):
         config = write_config(tmp_path, PROFILE_CONFIG)
         out = tmp_path / "out"

@@ -23,6 +23,7 @@ from contractpricing import (
     check_marginal_budget,
     check_menu_regularity,
 )
+from contractpricing.functions import REL_TOL, tolerance
 from conftest import make_log_menu_scenario
 from oracles import simpson
 
@@ -172,6 +173,23 @@ class TestTariffPartials:
                 lambda th: np.asarray(tariff.partials(th, s)[0]), th_a, th_b, 512)
             increment = tariff.value(th_b, s) - tariff.value(th_a, s)
             assert increment == pytest.approx(integral, abs=1e-6)
+
+
+class TestTolerance:
+    def test_relative_to_the_largest_finite_term(self):
+        assert tolerance(2.0, -3.0, math.inf, math.nan) == REL_TOL * 3.0
+        assert tolerance(1.0, rel=1e-6) == 1e-6
+        assert tolerance(math.nan) == 0.0
+
+    def test_elementwise_over_arrays(self):
+        b = np.array([[1.0], [5.0]])
+        np.testing.assert_array_equal(
+            tolerance(b, 2.0, np.array([1.0, np.nan, -3.0])),
+            REL_TOL * np.array([[2.0, 2.0, 3.0], [5.0, 5.0, 5.0]]))
+
+    def test_scalar_and_array_terms_agree(self):
+        terms = (0.1, -7.5, 3.0)
+        assert tolerance(*terms) == tolerance(*map(np.asarray, terms))
 
 
 class TestMenuRegularity:

@@ -30,14 +30,15 @@ from contractpricing import (
     verify_profile,
 )
 from contractpricing.serialize import dumps_canonical, write_csv
-from contractpricing.verify import CHOICE_TIE_TOL, SIM_BLOCK
+from contractpricing.functions import tolerance
+from contractpricing.verify import SIM_BLOCK
 from conftest import (
     load_bench,
     make_bilinear_profile_scenario,
     make_log_menu_scenario,
     make_separable_profile_scenario,
 )
-from oracles import crosscheck_windows, oracle_simulate
+from oracles import crosscheck_windows, exact_profile_margins, oracle_simulate
 
 #: positive half-widths that round away next to every demand used here,
 #: so each band is a single point (a scenario needs m > 0)
@@ -234,18 +235,19 @@ def tabulated_profile_scenario():
         scenario, tariff=TabulatedTariff(thetas, ss, 4.0 * np.outer(thetas, ss)))
 
 
-def tie_case():
+def tie_case(offset=0.5):
     """Zero-width bands of F = 4 theta s at demands and prices that are
-    exact in binary.  At theta_1 qualities 1 and 2 save exactly 0.25; at
-    theta_3 quality 3 saves half a tolerance more than quality 2.  The
-    lower index must win both ties."""
+    exact in binary, but for the last price.  At theta_1 qualities 1 and 2
+    save exactly 0.25; at theta_3 quality 3 saves ``offset`` tie
+    tolerances (``tolerance`` of the prices) more than quality 2.  The
+    lower index must win both ties when the offset is below 1."""
     scenario = dataclasses.replace(make_bilinear_profile_scenario(),
                                    margins=MarginSpec(b=(0.1, 0.2, 0.3),
                                                       m=ZERO_WIDTH))
     profile = dataclasses.replace(
         build_profile(make_bilinear_profile_scenario()),
         demands=(0.375, 0.5, 0.75),
-        prices=(1.25, 2.75, 5.75 - 0.5 * CHOICE_TIE_TOL))
+        prices=(1.25, 2.75, 5.75 - offset * tolerance(1.25, 2.75, 5.75)))
     return profile, scenario
 
 
@@ -294,6 +296,7 @@ ORACLE_CASES = {
     "tabulated": certified(tabulated_profile_scenario),
     "tampered": tampered,
     "tie": tie_case,
+    "beyond_tie": lambda: tie_case(1.5),
 }
 
 ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 10 ** 5)
@@ -330,6 +333,10 @@ class TestSimulatorOracle:
         report = simulate_market(*tie_case(), SIM_BLOCK + 1, 5)
         assert [band.fraction_intended for band in report.bands] == [1.0, 1.0, 0.0]
 
+    def test_higher_quality_wins_beyond_the_tie(self):
+        report = simulate_market(*tie_case(1.5), SIM_BLOCK + 1, 5)
+        assert [band.fraction_intended for band in report.bands] == [1.0, 1.0, 1.0]
+
     def test_band_beyond_tabulated_domain_raises_as_oracle(self):
         profile, scenario = certified(tabulated_profile_scenario)()
         theta_up = scenario.tariff.theta_domain[1]
@@ -355,6 +362,33 @@ def test_simulation_memory_independent_of_quality_count():
     finally:
         tracemalloc.stop()
     assert peak < 80e6, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def bilinear_profiles():
+    """The bilinear demo and the bench's bilinear profiles at load 0.6:
+    seeds 0-39 times 2, 3, 5 and 8 qualities."""
+    scenarios = load_bench("scenarios")
+    yield make_bilinear_profile_scenario()
+    for seed in range(40):
+        for n in (2, 3, 5, 8):
+            yield scenarios.profile_scenario(np.random.default_rng(seed), "bilinear", n, 0.6)
+
+
+def test_float_certificate_is_exact_to_far_below_the_tolerance():
+    """Every profile is certified in exact arithmetic too, and the float
+    worst margin of ``verify_profile`` lies within 1e-3 of the tolerance of
+    its terms from the exact one, so ``REL_TOL`` leaves a wide berth for
+    rounding.  A bilinear tariff has F_s = d_p theta and
+    F_theta = d_p s, monotone in theta, so the smallest scan grid gives
+    the profile the default one does."""
+    for scenario in bilinear_profiles():
+        profile = build_profile(dataclasses.replace(scenario, grid_n=16))
+        report = verify_profile(profile, scenario)
+        assert report.passed
+        exact, terms = min(exact_profile_margins(profile, scenario), key=lambda x: x[0])
+        # margins that are zero by construction round to either side
+        assert exact >= -tolerance(*map(float, terms))
+        assert abs(report.worst_margin - exact) <= 1e-3 * tolerance(*map(float, terms))
 
 
 class TestCrosscheckWindows:
