@@ -48,9 +48,16 @@ def tolerance(*terms: ArrayLike, rel: float = REL_TOL) -> ArrayLike:
     return rel * np.where(np.isfinite(mags), mags, 0.0).max(axis=0)
 
 
-def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
+def _inside(x: ArrayLike, lo: float, hi: float) -> ArrayLike:
+    """Whether ``x`` lies in [lo, hi], allowing 1e-12 times the larger of 1
+    and the finite ends' magnitudes; NaN is outside.  The one containment
+    rule of domain checks and of scenario validation."""
     atol = 1e-12 * max(1.0, abs(lo), abs(hi) if math.isfinite(hi) else 1.0)
-    bad = ~((x >= lo - atol) & (x <= hi + atol))  # NaN is outside too
+    return (x >= lo - atol) & (x <= hi + atol)
+
+
+def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
+    bad = ~_inside(x, lo, hi)
     if np.any(bad):
         offender = float(np.asarray(x)[bad][0]) if np.ndim(x) else float(x)
         raise DomainError(
@@ -452,15 +459,6 @@ class ConditionReport:
 # regularity checks
 # ---------------------------------------------------------------------------
 
-def _second_differences(values: np.ndarray) -> np.ndarray:
-    return values[2:] - 2.0 * values[1:-1] + values[:-2]
-
-
-def _min_with_witness(values: np.ndarray, grid: np.ndarray):
-    k = int(np.argmin(values))
-    return float(values[k]), float(grid[k])
-
-
 def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     """Certify the assumptions of the quality-price menu construction.
 
@@ -479,63 +477,60 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
       second witness may lie beyond the probe window, so the scan keeps
       doubling the quality up to ``s_search_max`` before giving up.
 
-    Failures carry the witness grid point.  Report-valued: never raises
-    on a condition failure.
+    Each function is evaluated once, at the origin and on the grid, and
+    each a1/a2 kind is decided for all functions at once.  A "passed"
+    report covers only (0, s_probe_max], plus the a3 doubling.  Failures
+    carry the witness grid point.  Report-valued: never raises on a
+    condition failure.
     """
     budgets, cost, profit = scenario.budgets, scenario.cost, scenario.profit
     hi = scenario.s_probe_max
     grid = (hi / scenario.grid_n) * np.arange(1, scenario.grid_n + 1)
 
+    # one row per function: id prefix, monotone id, strict, curvature
+    rows = [("a1.cost", "strictly_increasing", True, "convex"),
+            ("a1.profit", "nondecreasing", False, "convex")]
+    rows += [(f"a2.budget{i}", "strictly_increasing", True, "concave")
+             for i in range(1, len(budgets) + 1)]
+    strict = np.array([[row[2]] for row in rows])
+    convex = np.array([[row[3] == "convex"] for row in rows])
+    points = np.concatenate(([0.0], grid))
+    values = np.array([f._value(points) for f in (cost, profit) + budgets])
+    at_origin, v = np.abs(values[:, 0]), values[:, 1:]
+    slopes = np.array([p._derivative(grid) for p in budgets])
+
+    # each kind is decided for every row at once; zero at origin is
+    # relative to the function's magnitude on the grid
+    zero_ok = at_origin <= tolerance(v).max(axis=1)
+    rise = np.diff(v, axis=1)
+    rise_ok = np.all(np.where(strict, rise > 0,
+                              rise >= -tolerance(v[:, 1:], v[:, :-1])), axis=1)
+    d2 = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
+    bend = np.where(convex, d2, -d2)  # concave rows negated
+    bend_ok = np.all(bend >= -tolerance(v[:, 2:], 2.0 * v[:, 1:-1], v[:, :-2]),
+                     axis=1)
+    cross = np.diff(slopes, axis=0)
+    cross_ok = np.all(cross > tolerance(slopes[1:], slopes[:-1]), axis=1)
+    # argmin picks the first NaN, if any, as the worst margin
+    at_rise, at_bend, at_cross = (np.argmin(m, axis=1) for m in (rise, bend, cross))
+
     checks: list[ConditionCheck] = []
-
-    def zero_at_origin(cid, func, values):
-        # relative to the function's magnitude on the probe grid
-        v0 = abs(float(func._value(np.asarray(0.0))))
-        ok = bool(v0 <= np.max(tolerance(values)))
-        checks.append(ConditionCheck(cid, ok, -v0, None if ok else 0.0, "value at 0"))
-
-    def monotone(cid, values, strict):
-        diffs = np.diff(values)
-        margin, witness = _min_with_witness(diffs, grid[1:])
-        ok = margin > 0 if strict else np.all(diffs >= -tolerance(values[1:], values[:-1]))
-        checks.append(ConditionCheck(cid, bool(ok), margin,
-                                     None if ok else witness,
-                                     "min forward difference"))
-
-    def curvature(cid, values, convex):
-        d2 = _second_differences(values)
-        if convex:
-            margin, witness = _min_with_witness(d2, grid[1:-1])
-        else:
-            k = int(np.argmax(d2))
-            margin, witness = -float(d2[k]), float(grid[1 + k])
-        tol = tolerance(values[2:], 2.0 * values[1:-1], values[:-2])
-        ok = np.all((d2 if convex else -d2) >= -tol)
-        checks.append(ConditionCheck(cid, bool(ok), margin,
-                                     None if ok else witness,
-                                     "second differences, %s" % ("convex" if convex else "concave")))
-
-    c_vals = np.asarray(cost._value(grid))
-    b_vals = np.asarray(profit._value(grid))
-    zero_at_origin("a1.cost_zero_at_origin", cost, c_vals)
-    monotone("a1.cost_strictly_increasing", c_vals, strict=True)
-    curvature("a1.cost_convex", c_vals, convex=True)
-    zero_at_origin("a1.profit_zero_at_origin", profit, b_vals)
-    monotone("a1.profit_nondecreasing", b_vals, strict=False)
-    curvature("a1.profit_convex", b_vals, convex=True)
-
-    for idx, p in enumerate(budgets, start=1):
-        p_vals = np.asarray(p._value(grid))
-        zero_at_origin(f"a2.budget{idx}_zero_at_origin", p, p_vals)
-        monotone(f"a2.budget{idx}_strictly_increasing", p_vals, strict=True)
-        curvature(f"a2.budget{idx}_concave", p_vals, convex=False)
-    for idx in range(len(budgets) - 1):
-        d_lo = np.asarray(budgets[idx]._derivative(grid))
-        d_hi = np.asarray(budgets[idx + 1]._derivative(grid))
-        margin, witness = _min_with_witness(d_hi - d_lo, grid)
-        ok = np.all(d_hi - d_lo > tolerance(d_hi, d_lo))
-        checks.append(ConditionCheck(f"a2.single_crossing_{idx + 1}_{idx + 2}",
-                                     bool(ok), margin, None if ok else witness,
+    for r, (prefix, rise_id, _, shape) in enumerate(rows):
+        i, j = at_rise[r], at_bend[r]
+        checks += [
+            ConditionCheck(f"{prefix}_zero_at_origin", bool(zero_ok[r]),
+                           float(-at_origin[r]), None if zero_ok[r] else 0.0,
+                           "value at 0"),
+            ConditionCheck(f"{prefix}_{rise_id}", bool(rise_ok[r]), float(rise[r, i]),
+                           None if rise_ok[r] else float(grid[1 + i]),
+                           "min forward difference"),
+            ConditionCheck(f"{prefix}_{shape}", bool(bend_ok[r]), float(bend[r, j]),
+                           None if bend_ok[r] else float(grid[1 + j]),
+                           f"second differences, {shape}")]
+    for i, k in enumerate(at_cross):
+        checks.append(ConditionCheck(f"a2.single_crossing_{i + 1}_{i + 2}",
+                                     bool(cross_ok[i]), float(cross[i, k]),
+                                     None if cross_ok[i] else float(grid[k]),
                                      "min derivative gap between consecutive budgets"))
 
     # existence scans include a geometric refinement near the origin so

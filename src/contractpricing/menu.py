@@ -38,7 +38,7 @@ from .errors import (
     UnboundedFeasibleSetError,
 )
 from .fields import entry_list, number_column
-from .functions import (DEFAULT_GRID_N, MAX_GRID_N, ScalarFunction,
+from .functions import (DEFAULT_GRID_N, MAX_GRID_N, ScalarFunction, _inside,
                         check_menu_regularity, check_size)
 from .verify import verify_menu
 
@@ -87,7 +87,7 @@ class MenuScenario:
         named = [(f"budgets[{i}]", p) for i, p in enumerate(self.budgets)]
         for name, func in named + [("cost", self.cost), ("profit", self.profit)]:
             lo, hi = func.domain
-            if not (lo <= 1e-12 and hi >= self.s_search_max - 1e-12):
+            if not (_inside(0.0, lo, hi) and _inside(self.s_search_max, lo, hi)):
                 raise ScenarioError(
                     f"{name} domain [{lo:g}, {hi:g}] does not cover the "
                     f"search window [0, {self.s_search_max:g}]")

@@ -40,6 +40,7 @@ from .functions import (
     DomainBox,
     ScalarFunction,
     TariffFunction,
+    _inside,
     check_marginal_budget,
     check_size,
     tolerance,
@@ -122,14 +123,14 @@ class ProfileScenario:
             raise ScenarioError("qualities must be positive")
         if not all(x < y for x, y in zip(s, s[1:])):
             raise ScenarioError("qualities must be strictly increasing")
-        if s[0] < box.s_low - 1e-12 or s[-1] > box.s_up + 1e-12:
+        if not all(_inside(x, box.s_low, box.s_up) for x in (s[0], s[-1])):
             raise ScenarioError("qualities must lie within [s_low, s_up]")
         demand, quality = (box.theta_low, box.theta_up), (box.s_low, box.s_up)
         for what, (lo, hi), owner, (d_lo, d_hi) in (
                 ("demand range", demand, "tariff's theta", self.tariff.theta_domain),
                 ("quality range", quality, "tariff's s", self.tariff.s_domain),
                 ("quality range", quality, "cost's", self.cost.domain)):
-            if not (lo >= d_lo - 1e-12 and hi <= d_hi + 1e-12):
+            if not (_inside(lo, d_lo, d_hi) and _inside(hi, d_lo, d_hi)):
                 raise ScenarioError(f"box {what} [{lo:g}, {hi:g}] exceeds the "
                                     f"{owner} domain [{d_lo:g}, {d_hi:g}]")
         self.margins.validate(len(s))

@@ -113,10 +113,8 @@ def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
             f"menu has {n} entries but scenario declares {scenario.n_types} types")
 
     acc = _Margins(slack)
-    budgets_at = [
-        [float(scenario.budgets[k].value(s_l)) for s_l in menu.qualities]
-        for k in range(n)
-    ]
+    qualities = np.asarray(menu.qualities)
+    budgets_at = [scenario.budgets[k].value(qualities).tolist() for k in range(n)]
     for k in range(n):
         s_k, p_k = menu.qualities[k], menu.prices[k]
         budget = budgets_at[k][k]

@@ -242,6 +242,59 @@ class TestMenuRegularity:
         assert report.check("a1.profit_nondecreasing").passed
         assert report.passed
 
+    #: (budgets, cost, profit) of a menu failing some a1/a2 kind, and the
+    #: exact (id, margin, witness) of each failing check
+    LOG = (LogFunction(2.2), ScaledFunction(LogFunction(2.2), 2.0))
+    COST = LinearFunction(1.0)
+    FAILING = {
+        "cost_not_convex": (
+            LOG, PowerFunction(1.0, 0.5), ScaledFunction(COST, 0.1),
+            [("a1.cost_convex", -0.04259271713866464, 0.390625)]),
+        "profit_decreasing": (
+            LOG, COST, TabulatedFunction([0.0, 50.0, 1e6], [0.0, 5.0, 1.0]),
+            [("a1.profit_nondecreasing", -7.812890645553239e-07, 50.1953125),
+             ("a1.profit_convex", -0.019532031289064555, 50.0)]),
+        "budget_not_concave": (
+            (LOG[0], PowerFunction(1.0, 1.5)), COST, ScaledFunction(COST, 0.1),
+            [("a2.budget2_concave", -0.04655046330094173, 0.390625),
+             ("a2.single_crossing_1_2", -1.1776102684546053, 0.1953125)]),
+        "budget_dip": (
+            (LOG[0], TabulatedFunction([0.0, 20.0, 40.0, 1e6], [0.0, 30.0, 25.0, 60.0])),
+            COST, ScaledFunction(COST, 0.1),
+            [("a2.budget2_strictly_increasing", -0.048828125, 20.3125),
+             ("a2.budget2_concave", -0.039067968968755196, 40.0390625),
+             ("a2.single_crossing_1_2", -0.35418054014058453, 20.1171875)]),
+        "budget_one_at_origin": (
+            (TabulatedFunction([0.0, 1e6], [1.0, 3e6]), LOG[1]), COST,
+            ScaledFunction(COST, 0.1),
+            [("a2.budget1_zero_at_origin", -1.0, 0.0),
+             ("a2.single_crossing_1_2", -2.9564346435643563, 100.0)]),
+        "equal_budgets": (
+            (LogFunction(2.2), LogFunction(2.2)), COST, ScaledFunction(COST, 0.1),
+            [("a2.single_crossing_1_2", 0.0, 0.1953125)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failing_check_margin_and_witness(self, case):
+        budgets, cost, profit, expected = self.FAILING[case]
+        report = check_menu_regularity(MenuScenario(budgets, cost, profit))
+        assert [(c.cid, c.margin, c.witness) for c in report.failures] == expected
+
+    def test_tolerance_calls_do_not_grow_with_types(self, monkeypatch):
+        calls = []
+
+        def counted(*terms, **kwargs):
+            calls.append(len(terms))
+            return tolerance(*terms, **kwargs)
+
+        monkeypatch.setattr("contractpricing.functions.tolerance", counted)
+        counts = []
+        for n_types in (2, 12):
+            calls.clear()
+            check_menu_regularity(make_log_menu_scenario(n_types=n_types))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
+
 
 class TestMarginalBudget:
     BOX = DomainBox(1.0 / 3.0, 1.0, 1.0, 3.0)

@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from contractpricing import (
@@ -19,6 +20,7 @@ from contractpricing import (
     ScaledFunction,
     ScenarioError,
     TabulatedFunction,
+    TabulatedTariff,
     build_profile,
     check_achievability,
     check_marginal_budget,
@@ -157,3 +159,36 @@ def test_net_saving_falling_at_zero_has_no_interior_maximizer():
     assert feasible_interval(1, scenario)[1] == pytest.approx(3.5)
     with pytest.raises(NoInteriorMaximizerError, match="nonincreasing at 0"):
         maximize_net(1, scenario)
+
+
+def knot_below(scale, over=0.0):
+    """The reference profile scaled by ``scale`` in quality, on a tabulated
+    tariff whose last s-knot sits one ulp below 3 * scale; the box and the
+    top quality reach ``3 * scale * (1 + over)``."""
+    s_up = 3.0 * scale * (1.0 + over)
+    ss = [0.0, 1.5 * scale, math.nextafter(3.0 * scale, 0.0)]
+    thetas = [1.0 / 3.0, 1.0]
+    tariff = TabulatedTariff(thetas, ss, 4.0 * np.outer(thetas, ss))
+    return dataclasses.replace(make_bilinear_profile_scenario(), tariff=tariff,
+                               qualities=(scale, 2.0 * scale, s_up),
+                               box=DomainBox(1.0 / 3.0, 1.0, scale, s_up))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_scenario_containment_is_the_domain_check_rule(scale):
+    # a scenario accepts what the checked evaluation accepts
+    scenario = knot_below(scale)
+    assert scenario.tariff.value(1.0, 3.0 * scale) > 0
+    with pytest.raises(ScenarioError, match="exceeds the tariff's s domain"):
+        knot_below(scale, over=1e-9)
+
+
+def test_search_window_containment_is_the_domain_check_rule():
+    cap = 3e6
+    budget = TabulatedFunction([0.0, math.nextafter(cap, 0.0)], [0.0, cap])
+    cost = LinearFunction(0.5)
+    scenario = MenuScenario((budget,), cost, ScaledFunction(cost, 0.1),
+                            s_search_max=cap)
+    assert budget.value(cap) > 0
+    with pytest.raises(ScenarioError, match="does not cover the search window"):
+        dataclasses.replace(scenario, s_search_max=cap * (1.0 + 1e-9))
