@@ -24,9 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .menu import MenuScenario, QualityPriceMenu
     from .profile import DemandPriceProfile, ProfileScenario
 
-#: users the simulator evaluates at once: a block's savings at every
-#: quality stay in cache, and the simulation's memory does not grow with
-#: the number of qualities
+#: users the simulator draws and evaluates at once: a block's savings at
+#: every quality stay in cache, so memory is one float array of
+#: ``samples_per_band`` (kept for the exact mean) plus
+#: O(SIM_BLOCK x qualities), whatever the number of qualities
 SIM_BLOCK = 1 << 14
 
 # upper bounds of the sizing knobs, checked before anything is allocated
@@ -234,9 +235,11 @@ class BandStats:
 class OutOfBandStats:
     """Users whose demand falls outside every satisfaction band.
 
-    They are assigned the quality of the nearest nominal demand below
-    them (clamped at the ends); only affordability is reported, savings
-    carry no guarantee.
+    A user buys quality 1 plus the number of nominal demands
+    theta_2..theta_L at or below their demand: for increasing demands,
+    the quality of the nearest nominal demand below them, clamped at the
+    ends.  Each user is evaluated only at that quality; only
+    affordability is reported, savings carry no guarantee.
     """
 
     samples: int
@@ -255,26 +258,18 @@ class MarketSimReport:
         return null_non_finite(asdict(self))
 
 
-def _block_savings(profile: "DemandPriceProfile", scenario: "ProfileScenario",
-                   draws: np.ndarray):
-    """Yield ``(block, savings)`` for each block of ``SIM_BLOCK`` draws:
-    the saving F(theta, s_l) - p_l of every draw in the block (columns)
-    at every quality (rows), from one checked tariff call."""
-    qualities = np.asarray(scenario.qualities)[:, None]
-    prices = np.asarray(profile.prices)[:, None]
-    for start in range(0, draws.size, SIM_BLOCK):
-        block = slice(start, start + SIM_BLOCK)
-        savings = scenario.tariff.value(draws[None, block], qualities)
-        savings -= prices
-        yield block, savings
+def _count_at_or_below(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How many of ``edges`` lie at or below each value of ``x``, from one
+    (edges x block) comparison.  For sorted edges and finite ``x`` this is
+    ``np.searchsorted(edges, x, side="right")``; for unsorted edges it is
+    still this count."""
+    return np.count_nonzero(edges[:, None] <= x, axis=0)
 
 
-def _picks(savings: np.ndarray, k: int, tie: float) -> np.ndarray:
-    """Whether each user (column) picks quality k: the lowest index whose
-    saving is within ``tie`` of the best.  A user with a NaN saving has no
-    best and picks no quality."""
-    top = savings >= savings.max(axis=0) - tie
-    return top[k] & ~top[:k].any(axis=0)
+def _blocks(size: int):
+    """``(start, stop)`` of each block of ``SIM_BLOCK`` users."""
+    for start in range(0, size, SIM_BLOCK):
+        yield start, min(start + SIM_BLOCK, size)
 
 
 def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
@@ -282,16 +277,21 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     """Simulate utility-maximizing users drawn uniformly in each band.
 
     Every sampled user picks the quality with the largest saving (the
-    lowest of those within the tolerance of the prices); the report
-    records the fraction that picked the intended quality, the saving
-    statistics and the provider's per-sale profit.  Demands
-    outside every band are sampled separately (one band's worth of
-    draws over the complement) and checked for affordability only.
-    Sampling is deterministic in ``rng_seed``: each band uses an
-    independent substream derived from the seed.
+    lowest of those within the tolerance of the prices; a user with a NaN
+    saving picks none); the report records the fraction that picked the
+    intended quality, the saving statistics and the provider's per-sale
+    profit.  Demands outside every band are sampled separately (one
+    band's worth of draws over the complement) and checked for
+    affordability only.  Sampling is deterministic in ``rng_seed``: each
+    band uses an independent substream derived from the seed.
 
-    A band's draws are evaluated in blocks of ``SIM_BLOCK`` users, so
-    memory is O(``samples_per_band``) whatever the number of qualities.
+    Every pass draws and evaluates its users in blocks of ``SIM_BLOCK``,
+    one checked tariff call per block; an out-of-band user is evaluated
+    only at the quality assigned to them (see :class:`OutOfBandStats`).
+    Memory is one float array of ``samples_per_band``, which holds each
+    band's savings at its own quality in turn (kept whole because
+    ``np.mean`` sums pairwise over the whole array), plus
+    O(``SIM_BLOCK`` x qualities) per block.
     """
     check_size("samples_per_band", samples_per_band, 1, MAX_SAMPLES_PER_BAND)
     if rng_seed < 0:
@@ -301,17 +301,29 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     m = scenario.margins.m
     b = scenario.margins.b
     tie = tolerance(*profile.prices)
+    qualities = np.asarray(s)[:, None]
+    prices = np.asarray(profile.prices)[:, None]
+    # each band's savings at its own quality, refilled band by band
+    own = np.empty(samples_per_band)
 
     bands: list[BandStats] = []
     for k in range(n):
         rng = np.random.default_rng([int(rng_seed), k])
         lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
-        draws = rng.uniform(lo, hi, samples_per_band)
-        own = np.empty(samples_per_band)
         intended = 0
-        for block, savings in _block_savings(profile, scenario, draws):
-            own[block] = savings[k]
-            intended += int(np.count_nonzero(_picks(savings, k, tie)))
+        for start, stop in _blocks(samples_per_band):
+            draws = rng.uniform(lo, hi, stop - start)
+            savings = scenario.tariff.value(draws[None, :], qualities)
+            savings -= prices
+            own[start:stop] = savings[k]
+            # k is picked when its saving is within ``tie`` of the best and
+            # no lower quality's is; max propagates NaN, so a NaN saving
+            # makes every comparison false and picks nothing
+            thr = savings.max(axis=0) - tie
+            picked = savings[k] >= thr
+            if k:
+                picked &= savings[:k].max(axis=0) < thr
+            intended += int(np.count_nonzero(picked))
         cost = float(scenario.cost.value(s[k]))
         profit = profile.prices[k] - cost
         bands.append(BandStats(
@@ -358,23 +370,28 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
         return None
 
     rng = np.random.default_rng([int(rng_seed), n])
-    u = rng.uniform(0.0, total, n_samples)
     cum = np.cumsum(lengths)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.clip(idx, 0, len(segments) - 1)
     seg_lo = np.array([seg[0] for seg in segments])
-    offset = u - (cum[idx] - lengths[idx])
-    draws = seg_lo[idx] + offset
-
-    # assignment rule: demand in [theta_k, theta_{k+1}) buys quality k,
-    # clamped to the first/last entry beyond the nominal range
-    assign = np.clip(np.searchsorted(profile.demands, draws, side="right") - 1,
-                     0, n - 1)
-    assigned_saving = np.empty(n_samples)
-    for block, savings in _block_savings(profile, scenario, draws):
-        assigned_saving[block] = savings[assign[block], np.arange(savings.shape[1])]
+    seg_start = cum - lengths
+    # assignment rule of ``OutOfBandStats``: count theta_2..theta_L at or
+    # below each draw
+    upper_demands = np.asarray(profile.demands[1:], dtype=float)
+    s = np.asarray(scenario.qualities)
+    p = np.asarray(profile.prices)
+    affordable = 0
+    min_saving = math.inf
+    for start, stop in _blocks(n_samples):
+        u = rng.uniform(0.0, total, stop - start)
+        # u's segment is the number of segments ending at or below it; a u
+        # at the very end stays in the last segment
+        idx = _count_at_or_below(cum[:-1], u)
+        draws = seg_lo[idx] + (u - seg_start[idx])
+        assign = _count_at_or_below(upper_demands, draws)
+        saving = scenario.tariff.value(draws, s[assign]) - p[assign]
+        affordable += int(np.count_nonzero(saving >= 0.0))
+        min_saving = np.minimum(min_saving, np.min(saving))
     return OutOfBandStats(
         samples=n_samples,
-        fraction_affordable=float(np.mean(assigned_saving >= 0.0)),
-        min_saving=float(np.min(assigned_saving)),
+        fraction_affordable=affordable / n_samples,
+        min_saving=float(min_saving),
     )

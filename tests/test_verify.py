@@ -31,7 +31,7 @@ from contractpricing import (
 )
 from contractpricing.serialize import dumps_canonical, write_csv
 from contractpricing.functions import tolerance
-from contractpricing.verify import SIM_BLOCK
+from contractpricing.verify import SIM_BLOCK, _count_at_or_below
 from conftest import (
     load_bench,
     make_bilinear_profile_scenario,
@@ -289,6 +289,22 @@ def power_h_scenario():
         tariff=SeparableTariff(PowerFunction(1.0, 2.0), PowerFunction(1.0, 1.5)))
 
 
+def single_quality_case():
+    """One quality whose band [0.4, 0.6] leaves out-of-band segments on
+    both sides; users below 0.375 cannot afford it.  The pick rule has no
+    lower and no higher quality to compare with."""
+    scenario = ProfileScenario((1.0,), BilinearTariff(4.0), LinearFunction(1.0),
+                               DomainBox(0.25, 1.0, 1.0, 3.0),
+                               MarginSpec(b=(0.1,), m=(0.1,)))
+    return DemandPriceProfile((0.5,), (1.5,), ((1.1, 1.6),), (0.1,)), scenario
+
+
+def twelve_quality_case():
+    scenarios = load_bench("scenarios")
+    scenario = scenarios.profile_scenario(np.random.default_rng(3), "bilinear", 12, 0.6)
+    return build_profile(scenario), scenario
+
+
 ORACLE_CASES = {
     "bilinear": certified(make_bilinear_profile_scenario),
     "separable_power_g": certified(make_separable_profile_scenario),
@@ -297,14 +313,18 @@ ORACLE_CASES = {
     "tampered": tampered,
     "tie": tie_case,
     "beyond_tie": lambda: tie_case(1.5),
+    "single_quality": single_quality_case,
+    "twelve_qualities": twelve_quality_case,
 }
 
-ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 10 ** 5)
+ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 1, 10 ** 5)
 
 
 class TestSimulatorOracle:
     """The blockwise simulator reports exactly what the per-quality
-    ``np.stack`` + ``argmax`` simulator reported."""
+    ``np.stack`` + ``argmax`` simulator reported.  The oracle draws each
+    band in one ``uniform`` call, so equality also shows that the draws
+    streamed block by block are the same."""
 
     @pytest.mark.parametrize("samples", ORACLE_SAMPLES)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -349,19 +369,96 @@ class TestSimulatorOracle:
         assert str(error.value) == str(oracle_error.value)
 
 
-def test_simulation_memory_independent_of_quality_count():
-    """Ten float arrays of 10**6 bound one simulation of 8 qualities; the
-    qualities x samples savings matrix alone would take 61 MiB."""
+class TestCountAtOrBelow:
+    """The segment and assignment lookups of the out-of-band pass."""
+
+    #: sorted, with repeated values
+    EDGES = np.array([0.5, 1.0, 1.0, 1.0, 2.5, 4.0, 4.0])
+    #: below every edge, exactly on each edge, between edges, above every edge
+    X = np.concatenate([[-1.0, 0.0, 0.4999], EDGES, [0.75, 1.5, 3.0, 4.0001, 1e300]])
+
+    def test_assignment_is_the_clipped_binary_search(self):
+        n = self.EDGES.size
+        want = np.clip(np.searchsorted(self.EDGES, self.X, side="right") - 1, 0, n - 1)
+        assert np.array_equal(_count_at_or_below(self.EDGES[1:], self.X), want)
+
+    def test_segment_is_the_clipped_binary_search(self):
+        cum = np.cumsum([0.5, 0.5, 1e-300, 1.5, 1.5])
+        u = np.concatenate([[0.0, 0.25], cum, cum + 0.125, [cum[-1] * 2]])
+        want = np.clip(np.searchsorted(cum, u, side="right"), 0, cum.size - 1)
+        assert np.array_equal(_count_at_or_below(cum[:-1], u), want)
+
+    def test_no_edges_counts_zero(self):
+        assert np.array_equal(_count_at_or_below(np.array([]), self.X),
+                              np.zeros(self.X.size, dtype=int))
+
+    def test_unsorted_edges_are_counted(self):
+        got = _count_at_or_below(np.array([0.8, 0.5]),
+                                 np.array([0.4, 0.5, 0.7, 0.8, 0.9]))
+        assert got.tolist() == [0, 1, 1, 2, 2]
+
+
+def test_out_of_band_rule_for_demands_not_increasing():
+    """A stored profile whose demands are not increasing parses, and its
+    out-of-band users buy quality 1 + the number of theta_2..theta_L at or
+    below them.  Demands (0.8, 0.5) on the box [0.25, 1] leave the
+    segments [0.25, 0.7) and (0.9, 1]: users in [0.5, 0.55) buy quality 2
+    and cannot afford it, where quality 1 would have been affordable."""
+    profile = DemandPriceProfile.from_dict({
+        "entries": [{"theta": 0.8, "p": 1.2, "window": [1.2, 1.2]},
+                    {"theta": 0.5, "p": 4.4, "window": [4.4, 4.4]}],
+        "deltas": [0.1, 0.1]})
+    scenario = ProfileScenario((1.0, 2.0), BilinearTariff(4.0), LinearFunction(1.0),
+                               DomainBox(0.25, 1.0, 1.0, 2.0),
+                               MarginSpec(b=(0.1, 0.2), m=(0.1, 0.11)))
+    samples, seed = 3 * SIM_BLOCK + 1, 5
+    report = simulate_market(profile, scenario, samples, seed).out_of_band
+
+    seg_lo = np.array([0.25, 0.8 + 0.1])
+    lengths = np.array([(0.8 - 0.1) - 0.25, 1.0 - (0.8 + 0.1)])
+    u = np.random.default_rng([seed, 2]).uniform(0.0, lengths.sum(), samples)
+    cum = np.cumsum(lengths)
+    idx = (u >= cum[0]).astype(int)
+    draws = seg_lo[idx] + (u - (cum[idx] - lengths[idx]))
+    assign = (draws >= 0.5).astype(int)
+    saving = (scenario.tariff.value(draws, np.array([1.0, 2.0])[assign])
+              - np.array([1.2, 4.4])[assign])
+    unaffordable = (draws >= 0.5) & (draws < 0.55)
+    assert np.any(unaffordable) and np.all(saving[unaffordable] < 0.0)
+    assert report.samples == samples
+    assert report.fraction_affordable == np.count_nonzero(saving >= 0.0) / samples
+    assert report.min_saving == float(np.min(saving))
+
+
+def simulation_peak(n_qualities):
+    """tracemalloc's peak over one simulation of 10**6 users per band on a
+    bench bilinear profile with ``n_qualities`` qualities."""
     scenarios = load_bench("scenarios")
-    scenario = scenarios.profile_scenario(np.random.default_rng(3), "bilinear", 8, 0.6)
+    scenario = scenarios.profile_scenario(np.random.default_rng(3), "bilinear",
+                                          n_qualities, 0.6)
     profile = build_profile(scenario)
     tracemalloc.start()
     try:
         simulate_market(profile, scenario, 10 ** 6, 1)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80e6, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_simulation_memory_independent_of_quality_count():
+    """One float array of 10**6 (7.6 MiB, a band's savings at its own
+    quality) plus a block's savings at every quality bound a simulation
+    of 8 qualities; the qualities x samples savings matrix alone would
+    take 61 MiB."""
+    peak = simulation_peak(8)
+    assert peak < 16e6, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_simulation_memory_at_32_qualities():
+    """Four times the qualities grow only the per-block arrays (a block's
+    savings at 32 qualities take 4 MiB)."""
+    peak = simulation_peak(32)
+    assert peak < 24e6, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def bilinear_profiles():
