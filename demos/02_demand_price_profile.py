@@ -48,6 +48,6 @@ for k, (theta, p, (a, b)) in enumerate(zip(profile.demands, profile.prices,
 print("\n  (for a bilinear tariff every window collapses to a point:")
 print("   the incentive bound is exactly as tight as the profit bound)")
 
-certificate = verify_profile(profile, scenario, probes_per_band=9)
+certificate = verify_profile(profile, scenario)
 print(f"\nindependent verification: passed={certificate.passed}, "
       f"worst margin {certificate.worst_margin:+.2e}")

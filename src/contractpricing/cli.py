@@ -37,7 +37,8 @@ scenario hash so that ``verify`` and ``simulate`` can detect
 configuration drift.  Every margin check counts a margin against a
 tolerance relative to the magnitudes that formed it (the solvers' is
 1e-9 of them).  Because solution files round floats to 9 significant
-digits, ``verify`` re-certifies a stored solution at 1e-6 of them.
+digits, ``verify`` re-certifies a stored solution at 1e-6 of them, with
+the exact certificate of :mod:`.verify`; it reads no config knob.
 """
 
 from __future__ import annotations
@@ -174,8 +175,7 @@ def _cmd_verify(args, config, out) -> _Result:
     if config.mode == "menu":
         report = verify_menu(solution, config.menu, slack=SERIALIZED_SLACK)
     else:
-        report = verify_profile(solution, config.profile, probes_per_band=config.probes,
-                                slack=SERIALIZED_SLACK)
+        report = verify_profile(solution, config.profile, slack=SERIALIZED_SLACK)
     artifacts = {"verification.json": report.to_dict()}
     if report.passed:
         return _Result(artifacts, None, [

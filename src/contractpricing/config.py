@@ -13,11 +13,12 @@ keep defaults and floors here (probes 9, quad_n 256, seed 42,
 samples_per_band 1000, points 50); the ceiling of a knob is checked by
 the command that reads it.  The empirical template of a tradeoff config
 takes only qualities, tariff, cost, box and grid_n: the grid supplies
-the margins, and nothing is priced.  ``quad_n`` is parsed, floor-checked
-and hashed, but nothing reads it: the quadrature window oracle it sized
-is a test oracle now.  Dropping the key would change the hash of every
-profile scenario, and so every stored profile solution and the pinned
-CLI artifact digests of the benchmark; it waits for a change that
+the margins, and nothing is priced.  ``probes`` and ``quad_n`` are
+parsed, floor-checked and hashed, but nothing reads them: the verifier
+probes each band at the tariff's own knots, and the quadrature window
+oracle is a test oracle now.  Dropping the keys would change the hash of
+every profile scenario, and so every stored profile solution and the
+pinned CLI artifact digests of the benchmark; it waits for a change that
 re-pins those.  The resolved dictionary, defaults filled in, has a canonical
 hash that solution files embed so that verification can detect
 configuration drift.  :func:`load_solution` checks a solution file's
@@ -251,7 +252,6 @@ class ScenarioConfig:
     menu: Optional[MenuScenario] = None
     profile: Optional[ProfileScenario] = None
     tradeoff: Optional[TradeoffParams] = None
-    probes: int = DEFAULTS["probes"]
     seed: int = DEFAULTS["seed"]
     samples_per_band: int = DEFAULTS["samples_per_band"]
 
@@ -358,7 +358,7 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
              for key, lowest in (("probes", 3), ("quad_n", 64), ("seed", 0),
                                  ("samples_per_band", 1))}
     resolved.update(knobs)
-    del knobs["quad_n"]  # hashed, read by nothing
+    del knobs["probes"], knobs["quad_n"]  # hashed, read by nothing
     return resolved, {"profile": scenario, **knobs}
 
 

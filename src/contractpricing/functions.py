@@ -4,7 +4,9 @@ Scalar functions model costs C(s), profit targets B(s) and per-type
 budgets P_i(s); tariff functions model the bivariate willingness to pay
 F(theta, s).  Parametric families carry analytic first derivatives;
 tabulated families differentiate their own piecewise-linear interpolant,
-reading values and slopes through one cell lookup.  The module also
+reading values and slopes through one cell lookup.  Each family names
+the points where it may bend (``knots``, ``theta_knots``), so the
+verifier can certify a whole band exactly.  The module also
 hosts the numeric checks of the regularity assumptions behind the two
 constructions (menu regularity, marginal budget increase).
 
@@ -117,6 +119,10 @@ class ScalarFunction:
     def derivative(self, s: ArrayLike) -> ArrayLike:
         return _evaluate(self._derivative, (("s", self.domain),), s)
 
+    def knots(self, lo: float, hi: float) -> np.ndarray:
+        """Points in (lo, hi) between which the function is monotone."""
+        return np.empty(0)
+
     def _value(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -202,6 +208,9 @@ class ScaledFunction(ScalarFunction):
     def _derivative(self, s):
         return self.factor * np.asarray(self.base._derivative(s))
 
+    def knots(self, lo, hi):
+        return self.base.knots(lo, hi)
+
     def __repr__(self):
         return f"ScaledFunction({self.base!r}, factor={self.factor:g})"
 
@@ -236,6 +245,9 @@ class TabulatedFunction(ScalarFunction):
         # on an interior knot (w == 0), the mean of the two one-sided slopes
         return 0.5 * (self.slopes[k] + self.slopes[k - ((w == 0) & (k > 0))])
 
+    def knots(self, lo, hi):
+        return self.xs[(self.xs > lo) & (self.xs < hi)]
+
     def __repr__(self):
         return f"TabulatedFunction({self.xs.size} knots on [{self.domain[0]:g}, {self.domain[1]:g}])"
 
@@ -261,6 +273,10 @@ class TariffFunction:
     def partials(self, theta: ArrayLike, s: ArrayLike):
         """Return (F_theta, F_s, F_2) at (theta, s)."""
         return _evaluate(self._partials, self._named_domains(), theta, s)
+
+    def theta_knots(self, lo: float, hi: float) -> np.ndarray:
+        """Demands in (lo, hi) between which F and its differences in s are monotone."""
+        return np.empty(0)
 
     def _named_domains(self):
         return (("theta", self.theta_domain), ("s", self.s_domain))
@@ -310,6 +326,9 @@ class SeparableTariff(TariffFunction):
         hv = np.asarray(self.h._value(sv))
         hd = np.asarray(self.h._derivative(sv))
         return gd * hv, gv * hd, gd * hd
+
+    def theta_knots(self, lo, hi):
+        return self.g.knots(lo, hi)
 
     def __repr__(self):
         return f"SeparableTariff(g={self.g!r}, h={self.h!r})"
@@ -365,6 +384,9 @@ class TabulatedTariff(TariffFunction):
                      + wt * (ss[i + 1, j] + ss[i + 1, jl]))
         f_2 = 0.25 * ((sc[i, j] + sc[il, j]) + (sc[i, jl] + sc[il, jl]))
         return f_theta, f_s, f_2
+
+    def theta_knots(self, lo, hi):
+        return self.thetas[(self.thetas > lo) & (self.thetas < hi)]
 
     def __repr__(self):
         return (f"TabulatedTariff({self.thetas.size}x{self.ss.size} grid on "

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fields import entry_list, number_column
 from .functions import (DEFAULT_GRID_N, MAX_GRID_N, ScalarFunction, _inside,
-                        check_menu_regularity, check_size)
+                        check_menu_regularity, check_size, tolerance)
 from .verify import verify_menu
 
 #: relative bracket width at which the maximizer bisection stops
@@ -92,13 +92,20 @@ class MenuScenario:
                     f"{name} domain [{lo:g}, {hi:g}] does not cover the "
                     f"search window [0, {self.s_search_max:g}]")
 
+    def _check_type(self, i: int) -> None:
+        """Reject a type index outside 1..n_types."""
+        if not 1 <= i <= self.n_types:
+            raise ScenarioError(f"type index {i} outside 1..{self.n_types}")
+
     def net(self, i: int, s):
         """Net saving f_i(s) = P_i(s) - C(s) - B(s) for 1-based type i."""
+        self._check_type(i)
         return (np.asarray(self.budgets[i - 1].value(s))
                 - np.asarray(self.cost.value(s))
                 - np.asarray(self.profit.value(s)))
 
     def net_derivative(self, i: int, s):
+        self._check_type(i)
         return (np.asarray(self.budgets[i - 1].derivative(s))
                 - np.asarray(self.cost.derivative(s))
                 - np.asarray(self.profit.derivative(s)))
@@ -152,8 +159,7 @@ def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
     degenerate interval (0, 0) when the net saving is negative everywhere
     on (0, s_search_max].
     """
-    if not 1 <= i <= scenario.n_types:
-        raise ScenarioError(f"type index {i} outside 1..{scenario.n_types}")
+    scenario._check_type(i)
     cap = scenario.s_search_max
     candidates = np.geomspace(cap * 1e-15, cap, 256)
     vals = scenario._net(i, candidates)
@@ -240,9 +246,11 @@ def solve_menu(scenario: MenuScenario) -> QualityPriceMenu:
         nets.append(float(scenario._net(i, s_i)))
 
     for k in range(1, scenario.n_types):
-        if not (qualities[k] > qualities[k - 1] and prices[k] > prices[k - 1]):
+        if not all(x[k] - x[k - 1] > tolerance(x[k], x[k - 1])
+                   for x in (qualities, prices)):
             raise DegenerateTypesError(
-                f"types {k} and {k + 1} produced non-increasing entries "
+                f"types {k} and {k + 1} produced entries that do not increase "
+                f"by more than the tolerance "
                 f"(s: {qualities[k - 1]:g} -> {qualities[k]:g}, "
                 f"p: {prices[k - 1]:g} -> {prices[k]:g}); budgets are too close")
 

@@ -2,7 +2,10 @@
 
 The verifier re-evaluates every constraint of a solution directly from
 the scenario's functions, without reusing any intermediate quantity of
-the solvers.  A seeded Monte Carlo market simulator doubles as a
+the solvers.  Menus and profiles share one certificate
+(:func:`_check_agent`): a menu type is a band of one point, and a
+profile band is probed where the tariff may bend, so the certificate is
+exact over the whole band.  A seeded Monte Carlo market simulator doubles as a
 behavioral oracle: users drawn inside a satisfaction band should pick
 the intended quality, out-of-band users are only guaranteed
 affordability.
@@ -30,8 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: O(SIM_BLOCK x qualities), whatever the number of qualities
 SIM_BLOCK = 1 << 14
 
-# upper bounds of the sizing knobs, checked before anything is allocated
-MAX_PROBES_PER_BAND = 1 << 16
+#: upper bound of ``samples_per_band``, checked before anything is allocated
 MAX_SAMPLES_PER_BAND = 10 ** 7
 
 
@@ -98,15 +100,39 @@ class _Margins:
         )
 
 
+def _check_agent(acc: _Margins, k: int, wtp: np.ndarray, prices: np.ndarray,
+                 floor: float, points: Optional[np.ndarray]) -> None:
+    """Add agent k's ``IR.budget``, ``IR.profit`` and ``IC`` margins, each
+    the minimum over the agent's points: ``wtp[l, i]`` is its willingness
+    to pay for quality l at point i (a menu type has one point, a profile
+    band its probes, named ``theta``), ``floor`` its cost plus target."""
+    savings = wtp - prices[:, None]
+    diffs = savings[k] - savings
+    at = (lambda i: {}) if points is None else (lambda i: {"theta": float(points[i])})
+    i, worst = int(np.argmin(savings[k])), np.argmin(diffs, axis=1).tolist()
+    # Python floats from here: one conversion per value, not per lookup
+    wtp, savings, diffs, prices = wtp.tolist(), savings.tolist(), diffs.tolist(), prices.tolist()
+    p_k = prices[k]
+    acc.add("IR.budget", k + 1, None, savings[k][i],
+            {**at(i), "value": wtp[k][i], "price": p_k}, wtp[k][i], p_k)
+    acc.add("IR.profit", k + 1, None, p_k - floor, {"price": p_k, "floor": floor}, p_k, floor)
+    for l, i in enumerate(worst):
+        if l != k:
+            acc.add("IC", k + 1, l + 1, diffs[l][i],
+                    {**at(i), "own_saving": savings[k][i], "other_saving": savings[l][i]},
+                    wtp[k][i], p_k, wtp[l][i], prices[l])
+
+
 def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
                 slack: float = REL_TOL) -> VerificationReport:
     """Check a menu against the rationality and incentive constraints.
 
     For every type k: the budget at the assigned quality covers the
     price, the price covers cost plus target profit, and no other entry
-    offers a larger saving.  ``slack`` is relative: each margin may fall
-    short of zero by ``slack`` times the largest magnitude of the budget
-    values, prices, costs and targets that formed it.  Report-valued.
+    offers a larger saving; a type is a band of one point.  ``slack`` is
+    relative: each margin may fall short of zero by ``slack`` times the
+    largest magnitude of the budget values, prices, costs and targets
+    that formed it.  Report-valued.
     """
     n = len(menu.qualities)
     if n != scenario.n_types:
@@ -114,99 +140,58 @@ def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
             f"menu has {n} entries but scenario declares {scenario.n_types} types")
 
     acc = _Margins(slack)
-    qualities = np.asarray(menu.qualities)
-    budgets_at = [scenario.budgets[k].value(qualities).tolist() for k in range(n)]
-    for k in range(n):
-        s_k, p_k = menu.qualities[k], menu.prices[k]
-        budget = budgets_at[k][k]
+    qualities, prices = np.asarray(menu.qualities), np.asarray(menu.prices)
+    for k, s_k in enumerate(menu.qualities):
         floor = float(scenario.cost.value(s_k)) + float(scenario.profit.value(s_k))
-        acc.add("IR.budget", k + 1, None, budget - p_k,
-                {"budget": budget, "price": p_k}, budget, p_k)
-        acc.add("IR.profit", k + 1, None, p_k - floor,
-                {"price": p_k, "cost_plus_profit": floor}, p_k, floor)
-        own_saving = budget - p_k
-        for l in range(n):
-            if l == k:
-                continue
-            other_saving = budgets_at[k][l] - menu.prices[l]
-            acc.add("IC", k + 1, l + 1, own_saving - other_saving,
-                    {"own_saving": own_saving, "other_saving": other_saving},
-                    budget, p_k, budgets_at[k][l], menu.prices[l])
+        _check_agent(acc, k, scenario.budgets[k].value(qualities)[:, None],
+                     prices, floor, None)
     return acc.report()
 
 
-def _band_probes(theta_k: float, m_k: float, probes_per_band: int) -> np.ndarray:
+def _band_probes(tariff, theta_k: float, m_k: float) -> np.ndarray:
+    """The band's ends, its centre and the tariff's demand knots inside it."""
     lo, hi = theta_k - m_k, theta_k + m_k
-    probes = np.linspace(lo, hi, probes_per_band)
-    return np.unique(np.concatenate([probes, [lo, theta_k, hi]]))
+    return np.unique(np.concatenate([[lo, theta_k, hi], tariff.theta_knots(lo, hi)]))
 
 
 def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
-                   probes_per_band: int = 9,
                    slack: float = REL_TOL) -> VerificationReport:
     """Check a profile against rationality, incentive and premium constraints.
 
-    Each satisfaction band is probed at its endpoints, its center and
-    ``probes_per_band`` uniform interior points (endpoints alone suffice
-    for monotone tariffs, but tabulated inputs may wiggle between knots).
-    Per band k: affordability and the profit floor hold at every probe,
-    quality s_k saves at least as much as any other quality, and for
-    k < L the savings premium over the next quality meets the gap.
-    ``slack`` is relative, as in :func:`verify_menu`.  Report-valued.
+    Each band is probed at its ends, its centre and the tariff's demand
+    knots inside it (:meth:`TariffFunction.theta_knots`), between which
+    every budget and incentive margin is monotone in the demand: the
+    minimum over the probes is the minimum over the band.  Per band k:
+    affordability and the profit floor hold, quality s_k saves at least
+    as much as any other quality, and for k < L the savings premium over
+    the next quality meets the gap.  ``slack`` is relative, as in
+    :func:`verify_menu`.  Report-valued.
     """
-    check_size("probes_per_band", probes_per_band, 3, MAX_PROBES_PER_BAND)
     n = len(profile.demands)
     if n != scenario.n_qualities:
         raise ScenarioError(
             f"profile has {n} entries but scenario declares "
             f"{scenario.n_qualities} qualities")
 
-    s = scenario.qualities
-    b = scenario.margins.b
-    m = scenario.margins.m
-    gaps = scenario.margins.gaps
-    F = scenario.tariff.value
-    qualities = np.asarray(s)[:, None]
-    prices = np.asarray(profile.prices)[:, None]
+    s, b, m = scenario.qualities, scenario.margins.b, scenario.margins.m
+    qualities, prices = np.asarray(s)[:, None], np.asarray(profile.prices)
     acc = _Margins(slack)
-
+    bands = []
     for k in range(n):
-        theta_k, p_k = profile.demands[k], profile.prices[k]
-        probes = _band_probes(theta_k, m[k], probes_per_band)
+        probes = _band_probes(scenario.tariff, profile.demands[k], m[k])
         # every quality (rows) at every probe (columns) in one call
-        values = F(probes[None, :], qualities)
-        savings = values - prices
+        bands.append(scenario.tariff.value(probes[None, :], qualities))
+        _check_agent(acc, k, bands[k], prices, float(scenario.cost.value(s[k])) + b[k],
+                     probes)
 
-        own_saving = savings[k]
-        worst = int(np.argmin(own_saving))
-        acc.add("IR.budget", k + 1, None, float(own_saving[worst]),
-                {"theta": float(probes[worst]), "tariff": float(values[k, worst]),
-                 "price": p_k}, float(values[k, worst]), p_k)
-
-        floor = float(scenario.cost.value(s[k])) + b[k]
-        acc.add("IR.profit", k + 1, None, p_k - floor,
-                {"price": p_k, "cost_plus_target": floor}, p_k, floor)
-
-        for l in range(n):
-            if l == k:
-                continue
-            other_saving = savings[l]
-            diff = own_saving - other_saving
-            worst = int(np.argmin(diff))
-            acc.add("IC", k + 1, l + 1, float(diff[worst]),
-                    {"theta": float(probes[worst]),
-                     "own_saving": float(own_saving[worst]),
-                     "other_saving": float(other_saving[worst])},
-                    float(values[k, worst]), p_k, float(values[l, worst]),
-                    profile.prices[l])
-
-    for k in range(n - 1):
-        theta_k, p_k, p_next = profile.demands[k], profile.prices[k], profile.prices[k + 1]
-        f_low, f_next = float(F(theta_k - m[k], s[k])), float(F(theta_k + m[k], s[k + 1]))
-        omega, rhs = f_low - p_k, gaps[k] + f_next - p_next
+    for k, gap in enumerate(scenario.margins.gaps):
+        # F(theta_k - m_k, s_k) and F(theta_k + m_k, s_{k+1}): band k's ends
+        f_low, f_next = float(bands[k][k, 0]), float(bands[k][k + 1, -1])
+        p_k, p_next = profile.prices[k], profile.prices[k + 1]
+        omega, rhs = f_low - p_k, gap + f_next - p_next
         acc.add("profit_constraint", k + 1, k + 2, omega - rhs,
                 {"saving_floor": omega, "next_quality_pull": rhs},
-                f_low, p_k, gaps[k], f_next, p_next)
+                f_low, p_k, gap, f_next, p_next)
 
     return acc.report()
 

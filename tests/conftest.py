@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contractpricing import (
@@ -17,6 +18,7 @@ from contractpricing import (
     ProfileScenario,
     ScaledFunction,
     SeparableTariff,
+    TabulatedTariff,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -80,6 +82,27 @@ WORKED_THETAS = (1.0 / 3.0 + 0.01, 1.0 / 3.0 + 0.01 + 0.115,
 WORKED_DELTAS = (0.01, 0.115, 0.275)
 WORKED_P1 = 1.1 + 0.5 * (4.0 / 3.0 - 1.1)
 WORKED_A2 = 2.81
+
+
+#: demand knots of ``dip_tariff``, 1/2400 apart; the grid reaches below
+#: the reference box, so that stored profiles, whose demands are rounded
+#: to 9 digits, stay inside it
+DIP_THETAS = np.linspace(0.25, 1.0, 1801)
+
+#: the knot at which ``dip_tariff`` dips: 1/3 + 1/800, midway between two
+#: of nine uniform probes of band 1 of the reference profile, which spans
+#: [1/3, 1/3 + 0.02]
+DIP_THETA = float(DIP_THETAS[203])
+
+
+def dip_tariff():
+    """4 theta s on ``DIP_THETAS`` and the qualities 1, 2, 3, except that
+    F(DIP_THETA, 1) = 1.0: a user at that demand cannot afford the
+    reference profile's first price, 1.2167."""
+    ss = np.array([1.0, 2.0, 3.0])
+    values = 4.0 * np.outer(DIP_THETAS, ss)
+    values[203, 0] = 1.0
+    return TabulatedTariff(DIP_THETAS, ss, values)
 
 
 @pytest.fixture

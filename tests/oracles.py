@@ -31,6 +31,9 @@ oracles and the library code they check:
   :func:`contractpricing.verify.verify_profile`, and calibrates
   ``REL_TOL``: it recomputes the verifier's margins in exact rational
   arithmetic, for a bilinear tariff and a linear cost.
+* ``dense_profile_margins`` checks that ``verify_profile`` is exact for a
+  ``TabulatedTariff``: it minimizes the budget and incentive margins of
+  each band over ``DENSE_POINTS`` uniform demands plus every knot.
 """
 
 import dataclasses
@@ -358,10 +361,42 @@ def oracle_region(template, b_grid, m_grid):
 
 
 # ---------------------------------------------------------------------------
-# exact certificates
+# certificates
 # ---------------------------------------------------------------------------
 
-def exact_profile_margins(profile, scenario, probes_per_band=9):
+#: uniform demands per band of ``dense_profile_margins``
+DENSE_POINTS = 10 ** 4
+
+
+def dense_profile_margins(profile, scenario, points=DENSE_POINTS):
+    """The budget and incentive margins of a profile on a
+    ``TabulatedTariff``, each minimized over ``points`` uniform demands
+    of its band, the band's centre and every demand knot of the tariff in
+    the band, with the tariff evaluated by ``bilinear_value``: a dict
+    ``{(constraint, k, l): (margin, terms)}`` keyed as the verifier's
+    violations, where ``terms`` are the values that formed the margin."""
+    tariff = scenario.tariff
+    s = np.asarray(scenario.qualities)
+    p = np.asarray(profile.prices)
+    out = {}
+    for k, (theta, m) in enumerate(zip(profile.demands, scenario.margins.m)):
+        lo, hi = theta - m, theta + m
+        knots = tariff.thetas[(tariff.thetas >= lo) & (tariff.thetas <= hi)]
+        demands = np.concatenate([np.linspace(lo, hi, points), [theta], knots])
+        f = bilinear_value(tariff.thetas, tariff.ss, tariff.values_grid,
+                           demands[None, :], s[:, None])
+        own = f[k] - p[k]
+        i = int(np.argmin(own))
+        out["IR.budget", k + 1, None] = (own[i], (f[k, i], p[k]))
+        for l in range(len(p)):
+            if l != k:
+                diff = own - (f[l] - p[l])
+                i = int(np.argmin(diff))
+                out["IC", k + 1, l + 1] = (diff[i], (f[k, i], p[k], f[l, i], p[l]))
+    return out
+
+
+def exact_profile_margins(profile, scenario):
     """``verify_profile``'s margins at its own probes, in ``Fraction``
     arithmetic on the same float inputs, for a ``BilinearTariff`` and a
     ``LinearFunction`` cost: a list of ``(margin, terms)``, where ``terms``
@@ -374,7 +409,7 @@ def exact_profile_margins(profile, scenario, probes_per_band=9):
     n = len(p)
     out = []
     for k in range(n):
-        for theta in map(Fraction, _band_probes(profile.demands[k], m[k], probes_per_band)):
+        for theta in map(Fraction, _band_probes(scenario.tariff, profile.demands[k], m[k])):
             f = [d_p * theta * s_l for s_l in s]
             out.append((f[k] - p[k], (f[k], p[k])))
             out += [((f[k] - p[k]) - (f[l] - p[l]), (f[k], p[k], f[l], p[l]))

@@ -189,7 +189,7 @@ def test_criterion_4_worked_profile_end_to_end(monkeypatch):
         scenario = make_bilinear_profile_scenario()
         count = count_evaluations(monkeypatch)
         profile = build_profile(scenario)
-        report = verify_profile(profile, scenario, probes_per_band=9)
+        report = verify_profile(profile, scenario)
         sim = simulate_market(profile, scenario, 1000, 42)
         evaluations = count["calls"]
 

@@ -15,6 +15,7 @@ import pytest
 import contractpricing
 from contractpricing import ConfigError, load_config
 from contractpricing.cli import run
+from conftest import DIP_THETA, dip_tariff
 
 MENU_CONFIG = {
     "mode": "menu",
@@ -431,6 +432,30 @@ class TestCliVerifySimulate:
         assert run(["verify", config, str(tampered),
                     "--out", str(out), "--quiet"]) == 3
 
+    def test_dip_between_probes_exit_3(self, tmp_path):
+        """The reference profile, stored under a config whose tabulated
+        tariff dips at one knot inside band 1, does not certify."""
+        config = write_config(tmp_path, PROFILE_CONFIG)
+        out = tmp_path / "out"
+        assert run(["profile", config, "--out", str(out), "--quiet"]) == 0
+        tariff = dip_tariff()
+        rows = [[0.0, *tariff.ss]] + [[theta, *values] for theta, values
+                                       in zip(tariff.thetas, tariff.values_grid)]
+        (tmp_path / "dip.csv").write_text(
+            "\n".join(",".join(f"{x:.17g}" for x in row) for row in rows))
+        dip = write_config(tmp_path, dict(PROFILE_CONFIG, tariff={
+            "family": "tabulated", "csv": "dip.csv"}), "dip.json")
+        solution = json.loads((out / "profile.json").read_text())
+        solution["scenario_sha256"] = load_config(dip).hash
+        stored = out / "dip_profile.json"
+        stored.write_text(json.dumps(solution))
+        assert run(["verify", dip, str(stored), "--out", str(out), "--quiet"]) == 3
+        report = json.loads((out / "verification.json").read_text())
+        budget = [v for v in report["violations"] if v["constraint"] == "IR.budget"]
+        assert [v["k"] for v in budget] == [1]
+        assert budget[0]["witness"]["theta"] == pytest.approx(DIP_THETA, rel=1e-8)
+        assert budget[0]["margin"] == pytest.approx(1.0 - 1.21666667, abs=1e-8)
+
     def test_simulate(self, tmp_path):
         config = write_config(tmp_path, PROFILE_CONFIG)
         out = tmp_path / "out"
@@ -692,11 +717,6 @@ class TestCliBounds:
         assert run(["simulate", config, solution, "--seed", "-1",
                     "--out", out, "--quiet"]) == 2
         assert "rng_seed" in json.loads(capsys.readouterr().err)["error"]["message"]
-
-    def test_verify_probes_bound(self, tmp_path):
-        config, solution, out = self.solved(
-            tmp_path, dict(PROFILE_CONFIG, probes=self.HUGE))
-        assert run(["verify", config, solution, "--out", out, "--quiet"]) == 2
 
     def test_tradeoff_points_bound(self, tmp_path):
         config = write_config(tmp_path, TRADEOFF_CONFIG)

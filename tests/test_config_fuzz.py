@@ -31,7 +31,7 @@ from contractpricing import errors
 from contractpricing.cli import run
 from contractpricing.functions import MAX_GRID_N
 from contractpricing.tradeoff import MAX_POINTS
-from contractpricing.verify import MAX_PROBES_PER_BAND, MAX_SAMPLES_PER_BAND
+from contractpricing.verify import MAX_SAMPLES_PER_BAND
 from oracles import MAX_QUAD_N
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -58,8 +58,7 @@ SOLUTION_COMMANDS = {
 
 #: knobs that size work or memory get only small values or ones above
 #: their bound, so that no example allocates much or runs long
-SIZING_BOUNDS = {"grid_n": MAX_GRID_N, "probes": MAX_PROBES_PER_BAND,
-                 "quad_n": MAX_QUAD_N, "samples_per_band": MAX_SAMPLES_PER_BAND,
+SIZING_BOUNDS = {"grid_n": MAX_GRID_N, "quad_n": MAX_QUAD_N, "samples_per_band": MAX_SAMPLES_PER_BAND,
                  "points": MAX_POINTS}
 
 

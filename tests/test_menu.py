@@ -214,6 +214,23 @@ class TestSolveMenu:
         with pytest.raises(DegenerateTypesError):
             solve_menu(scenario)
 
+    def test_entries_within_the_tolerance_are_ties(self):
+        """Two tabulated budgets whose maximizers both sit on the knot at
+        s = 300 give qualities 1.86e-7 apart, below their tolerance of
+        3.0e-7: the types are indistinguishable, not a certified menu."""
+        xs = [0.0, 50.0, 150.0, 300.0, 1e6]
+        slopes = np.array([3.0, 1.0, 2.0, 0.3])
+
+        def budget(factor):
+            ys = np.concatenate([[0.0], np.cumsum(factor * slopes * np.diff(xs))])
+            return TabulatedFunction(xs, ys)
+
+        cost = LinearFunction(1.0)
+        scenario = MenuScenario((budget(1.0), budget(1.5)), cost,
+                                ScaledFunction(cost, 0.1))
+        with pytest.raises(DegenerateTypesError, match="types 1 and 2"):
+            solve_menu(scenario)
+
     def test_menu_roundtrips_through_dict(self, log_menu_scenario):
         menu = solve_menu(log_menu_scenario)
         restored = type(menu).from_dict(menu.to_dict())

@@ -293,7 +293,7 @@ class TestBuildProfile:
                                                bilinear_profile_scenario):
         import contractpricing.profile as profile_module
 
-        def always_fail(profile, scenario, probes_per_band=9, slack=1e-9):
+        def always_fail(profile, scenario, slack=1e-9):
             from contractpricing.verify import VerificationReport, Violation
             return VerificationReport(
                 passed=False,

@@ -125,6 +125,13 @@ IN_PROCESS = {
         r"type index 0 outside 1\.\.3"),
     "maximize_net_type": (lambda: maximize_net(4, make_log_menu_scenario()),
                           r"type index 4 outside 1\.\.3"),
+    # type 0 once read as type L through negative indexing
+    "net_type": (lambda: make_log_menu_scenario().net(0, 1.0),
+                 r"type index 0 outside 1\.\.3"),
+    "net_derivative_type": (lambda: make_log_menu_scenario().net_derivative(-1, 1.0),
+                            r"type index -1 outside 1\.\.3"),
+    "net_beyond_last_type": (lambda: make_log_menu_scenario().net(4, 1.0),
+                             r"type index 4 outside 1\.\.3"),
     "sensitivity_bounds_step": (lambda: sensitivity_bounds(
         make_bilinear_profile_scenario(), 1),
         r"step index 1 outside 2\.\.3"),

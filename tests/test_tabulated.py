@@ -13,7 +13,17 @@ float64 rounding before any comparison is made.
 import numpy as np
 import pytest
 
-from contractpricing import ScenarioError, TabulatedFunction, TabulatedTariff
+from contractpricing import (
+    BilinearTariff,
+    LinearFunction,
+    LogFunction,
+    PowerFunction,
+    ScaledFunction,
+    ScenarioError,
+    SeparableTariff,
+    TabulatedFunction,
+    TabulatedTariff,
+)
 from oracles import FD_STEP, bilinear_value, broadcast_first, fd_derivative, fd_partials
 
 EPS = np.finfo(float).eps
@@ -208,3 +218,38 @@ class TestTabulatedTariff:
         thetas[5] = thetas[4]
         with pytest.raises(ScenarioError, match="grids must be strictly increasing"):
             TabulatedTariff(thetas, SS, VALUES)
+
+
+class TestKnots:
+    """The points where a family may bend, strictly inside (lo, hi)."""
+
+    LO, HI = 0.9, 1.7
+
+    def test_tabulated_function_knots(self):
+        want = XS[(XS > self.LO) & (XS < self.HI)]
+        assert want.size > 2
+        func = TabulatedFunction(XS, YS)
+        assert np.array_equal(func.knots(self.LO, self.HI), want)
+        assert np.array_equal(ScaledFunction(func, 2.0).knots(self.LO, self.HI), want)
+
+    def test_knots_on_the_ends_are_left_out(self):
+        func = TabulatedFunction(XS, YS)
+        assert np.array_equal(func.knots(XS[3], XS[6]), XS[4:6])
+
+    def test_tariff_theta_knots(self):
+        want = THETAS[(THETAS > self.LO) & (THETAS < self.HI)]
+        assert want.size > 2
+        tabulated = TabulatedTariff(THETAS, SS, VALUES)
+        separable = SeparableTariff(TabulatedFunction(THETAS, THETAS ** E),
+                                    LinearFunction(1.0))
+        for tariff in (tabulated, separable):
+            assert np.array_equal(tariff.theta_knots(self.LO, self.HI), want)
+
+    def test_closed_forms_have_no_knots(self):
+        closed = (LinearFunction(1.0), LogFunction(2.0), PowerFunction(1.0, 0.5),
+                  ScaledFunction(LogFunction(2.0), 3.0))
+        for func in closed:
+            assert func.knots(self.LO, self.HI).size == 0
+        for tariff in (BilinearTariff(4.0),
+                       SeparableTariff(PowerFunction(1.0, 2.0), LinearFunction(1.0))):
+            assert tariff.theta_knots(self.LO, self.HI).size == 0

@@ -33,12 +33,15 @@ from contractpricing.serialize import dumps_canonical, write_csv
 from contractpricing.functions import tolerance
 from contractpricing.verify import SIM_BLOCK, _count_at_or_below
 from conftest import (
+    DIP_THETA,
+    dip_tariff,
     load_bench,
     make_bilinear_profile_scenario,
     make_log_menu_scenario,
     make_separable_profile_scenario,
 )
-from oracles import crosscheck_windows, exact_profile_margins, oracle_simulate
+from oracles import (crosscheck_windows, dense_profile_margins, exact_profile_margins,
+                     oracle_simulate)
 
 #: positive half-widths that round away next to every demand used here,
 #: so each band is a single point (a scenario needs m > 0)
@@ -84,8 +87,7 @@ class TestVerifyMenu:
 class TestVerifyProfile:
     def test_worked_profile_passes(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
-        report = verify_profile(profile, bilinear_profile_scenario,
-                                probes_per_band=9)
+        report = verify_profile(profile, bilinear_profile_scenario)
         assert report.passed
         assert report.worst_margin >= -1e-9
 
@@ -107,11 +109,6 @@ class TestVerifyProfile:
         report = verify_profile(profile, degenerate)
         assert report.passed
         assert math.isfinite(report.worst_margin)
-
-    def test_probe_floor(self, bilinear_profile_scenario):
-        profile = build_profile(bilinear_profile_scenario)
-        with pytest.raises(ScenarioError):
-            verify_profile(profile, bilinear_profile_scenario, probes_per_band=2)
 
     def test_choice_matches_incentives_on_dense_grid(self,
                                                      bilinear_profile_scenario):
@@ -135,6 +132,79 @@ class TestVerifyProfile:
             saving = np.asarray(scn.tariff.value(grid, scn.qualities[k])) \
                 - profile.prices[k]
             assert np.all(np.diff(saving) >= -1e-12)
+
+
+def wiggly_tariff(seed):
+    """4 theta s on 401 demands over [1/3, 1] and 5 qualities over [1, 3],
+    with about one value in ten moved by a random amount in [-0.3, 0.1]:
+    each band of the reference profile holds 12 to 36 demand knots."""
+    rng = np.random.default_rng(seed)
+    thetas, ss = np.linspace(1.0 / 3.0, 1.0, 401), np.linspace(1.0, 3.0, 5)
+    values = 4.0 * np.outer(thetas, ss)
+    values += rng.uniform(-0.3, 0.1, values.shape) * (rng.random(values.shape) < 0.1)
+    return TabulatedTariff(thetas, ss, values)
+
+
+class TestExactCertificate:
+    """A band is certified at its ends, its centre and the tariff's demand
+    knots inside it, so no tabulated value between probes goes unseen."""
+
+    def test_dip_between_uniform_probes_fails(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        scenario = dataclasses.replace(bilinear_profile_scenario, tariff=dip_tariff())
+        report = verify_profile(profile, scenario)
+        assert not report.passed
+        budget = [v for v in report.violations if v.constraint == "IR.budget"]
+        assert [(v.k, v.witness) for v in budget] == [
+            (1, {"theta": DIP_THETA, "value": 1.0, "price": profile.prices[0]})]
+        assert budget[0].margin == 1.0 - profile.prices[0] == report.worst_margin
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_violations_are_the_dense_grid_minima(self, bilinear_profile_scenario, seed):
+        """The worst margin is at most the dense grid's minimum (plus the
+        tolerance of its terms), and every budget or incentive margin the
+        grid finds violated is reported, at the grid's margin."""
+        profile = build_profile(bilinear_profile_scenario)
+        scenario = dataclasses.replace(bilinear_profile_scenario,
+                                       tariff=wiggly_tariff(seed))
+        report = verify_profile(profile, scenario)
+        dense = dense_profile_margins(profile, scenario)
+        low, terms = min(dense.values(), key=lambda x: x[0])
+        assert report.worst_margin <= low + tolerance(*terms)
+        reported = {(v.constraint, v.k, v.l): v.margin for v in report.violations
+                    if v.constraint in ("IR.budget", "IC")}
+        violated = {key: margin for key, (margin, terms) in dense.items()
+                    if margin < -tolerance(*terms)}
+        assert reported.keys() == violated.keys()
+        for key, margin in violated.items():
+            assert abs(reported[key] - margin) <= tolerance(*dense[key][1])
+
+    def test_wiggles_fail_some_bands(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        verdicts = [verify_profile(profile, dataclasses.replace(
+            bilinear_profile_scenario, tariff=wiggly_tariff(seed))).passed
+            for seed in range(16)]
+        assert 0 < verdicts.count(False) < 16
+
+    def test_failing_witnesses_share_one_schema(self, log_menu_scenario,
+                                                bilinear_profile_scenario):
+        """Menus and profiles name a point's willingness to pay ``value``
+        and cost plus target ``floor``; only profiles name ``theta``."""
+        menu = solve_menu(log_menu_scenario)
+        profile = build_profile(bilinear_profile_scenario)
+        reports = {
+            "menu": verify_menu(dataclasses.replace(
+                menu, prices=(1.6, 1.0, 10.0)), log_menu_scenario),
+            "profile": verify_profile(dataclasses.replace(
+                profile, prices=(2.0, 1.0, 10.0)), bilinear_profile_scenario)}
+        point = {"menu": set(), "profile": {"theta"}}
+        for kind, report in reports.items():
+            keys = {v.constraint: set(v.witness) for v in report.violations}
+            assert keys["IR.budget"] == point[kind] | {"value", "price"}
+            assert keys["IR.profit"] == {"price", "floor"}
+            assert keys["IC"] == point[kind] | {"own_saving", "other_saving"}
+        assert reports["menu"].to_dict()["violations"][0]["witness"] == {
+            "value": pytest.approx(2.2 * math.log(2.0)), "price": 1.6}
 
 
 class TestFailClosed:
@@ -537,12 +607,6 @@ class TestSizingBounds:
         profile = build_profile(bilinear_profile_scenario)
         with pytest.raises(ScenarioError, match="rng_seed"):
             simulate_market(profile, bilinear_profile_scenario, 10, -1)
-
-    def test_probes_per_band_bound(self, bilinear_profile_scenario):
-        profile = build_profile(bilinear_profile_scenario)
-        with pytest.raises(ScenarioError, match="probes_per_band"):
-            verify_profile(profile, bilinear_profile_scenario,
-                           probes_per_band=self.HUGE)
 
     def test_quad_n_bound(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
