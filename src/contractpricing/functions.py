@@ -81,7 +81,10 @@ def _evaluate(method, named_domains, *args):
 
 
 def check_size(name: str, value: int, lo: int, hi: int) -> None:
-    """Reject a sizing knob outside [lo, hi] before anything is allocated."""
+    """Reject a sizing knob that is not an integer in [lo, hi] before
+    anything is allocated; numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ScenarioError(f"{name} must be an integer")
     if not lo <= value <= hi:
         raise ScenarioError(f"{name} must be at least {lo}" if value < lo
                             else f"{name} must be at most {hi}")

@@ -14,7 +14,7 @@ affordability.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -100,6 +100,17 @@ class _Margins:
         )
 
 
+def _check_shape(kind: str, solution, n: int, noun: str) -> None:
+    """Reject a solution unless each of its fields, one column per entry
+    attribute, holds ``n`` entries: one per type or quality of its
+    scenario.  A shorter column would otherwise fail inside numpy."""
+    for column in fields(solution):
+        size = len(getattr(solution, column.name))
+        if size != n:
+            raise ScenarioError(f"{kind}.{column.name} has {size} entries but "
+                                f"scenario declares {n} {noun}")
+
+
 def _check_agent(acc: _Margins, k: int, wtp: np.ndarray, prices: np.ndarray,
                  floor: float, points: Optional[np.ndarray]) -> None:
     """Add agent k's ``IR.budget``, ``IR.profit`` and ``IC`` margins, each
@@ -134,11 +145,7 @@ def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
     largest magnitude of the budget values, prices, costs and targets
     that formed it.  Report-valued.
     """
-    n = len(menu.qualities)
-    if n != scenario.n_types:
-        raise ScenarioError(
-            f"menu has {n} entries but scenario declares {scenario.n_types} types")
-
+    _check_shape("menu", menu, scenario.n_types, "types")
     acc = _Margins(slack)
     qualities, prices = np.asarray(menu.qualities), np.asarray(menu.prices)
     for k, s_k in enumerate(menu.qualities):
@@ -167,12 +174,8 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     the next quality meets the gap.  ``slack`` is relative, as in
     :func:`verify_menu`.  Report-valued.
     """
-    n = len(profile.demands)
-    if n != scenario.n_qualities:
-        raise ScenarioError(
-            f"profile has {n} entries but scenario declares "
-            f"{scenario.n_qualities} qualities")
-
+    n = scenario.n_qualities
+    _check_shape("profile", profile, n, "qualities")
     s, b, m = scenario.qualities, scenario.margins.b, scenario.margins.m
     qualities, prices = np.asarray(s)[:, None], np.asarray(profile.prices)
     acc = _Margins(slack)
@@ -281,7 +284,8 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     check_size("samples_per_band", samples_per_band, 1, MAX_SAMPLES_PER_BAND)
     if rng_seed < 0:
         raise ScenarioError("rng_seed must be nonnegative")
-    n = len(profile.demands)
+    n = scenario.n_qualities
+    _check_shape("profile", profile, n, "qualities")
     s = scenario.qualities
     m = scenario.margins.m
     b = scenario.margins.b

@@ -1,12 +1,18 @@
-"""Shared scenario builders and the loader of bench modules for the test suite."""
+"""Shared scenario builders, the loader of bench modules and the CLI child
+launcher for the test suite."""
 
+import importlib.metadata
 import importlib.util
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contractpricing
 from contractpricing import (
     BilinearTariff,
     DomainBox,
@@ -21,7 +27,8 @@ from contractpricing import (
     TabulatedTariff,
 )
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def make_log_menu_scenario(d_b=2.2, d_c=1.0, n_types=3, profit_factor=0.1):
@@ -134,3 +141,28 @@ def load_bench(name):
     finally:
         sys.path.remove(str(BENCH))
     return module
+
+
+def child_env(**env_vars):
+    """This process's environment plus ``env_vars``, with the package copy
+    that this process imports first on the child's path."""
+    package_root = str(Path(contractpricing.__file__).resolve().parents[1])
+    return dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli(argv, launcher="module", **env_vars):
+    """Run the CLI on ``argv`` in a child process: ``python -m
+    contractpricing``, or with ``launcher="script"`` the console script.
+    That case is skipped when no installed distribution declares the
+    script, and fails when one does but the script is not on PATH."""
+    command = [sys.executable, "-m", "contractpricing"]
+    if launcher == "script":
+        if not importlib.metadata.entry_points(group="console_scripts",
+                                               name="contractpricing"):
+            pytest.skip("contractpricing is not installed")
+        script = shutil.which("contractpricing")
+        assert script is not None, "the installed console script is not on PATH"
+        command = [script]
+    return subprocess.run([*command, *argv], capture_output=True, text=True,
+                          env=child_env(**env_vars))

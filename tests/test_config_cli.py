@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -12,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import contractpricing
 from contractpricing import ConfigError, load_config
 from contractpricing.cli import run
-from conftest import DIP_THETA, dip_tariff
+from conftest import BENCH, DIP_THETA, ROOT, child_env, dip_tariff, run_cli
+
+DEMOS = ROOT / "demos" / "scenarios"
 
 MENU_CONFIG = {
     "mode": "menu",
@@ -215,8 +215,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("name", sorted(DEMO_HASHES))
     def test_demo_scenario_hash_pinned(self, name):
-        demos = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
-        assert load_config(demos / name).hash == DEMO_HASHES[name]
+        assert load_config(DEMOS / name).hash == DEMO_HASHES[name]
 
 
 class TestRuleOwners:
@@ -383,10 +382,12 @@ class TestCliVerifySimulate:
         (MENU_CONFIG, {f"budgets.{i}.base.scale": 2200.0 for i in range(3)}),
         (PROFILE_CONFIG, {"tariff.d_p": 4000.0, "cost.slope": 1000.0,
                           "margins.b": [100.0, 200.0, 300.0]}),
-    ], ids=["menu", "profile"])
+        (PROFILE_CONFIG, {"tariff.d_p": 4e9, "cost.slope": 1e9,
+                          "margins.b": [1e8, 2e8, 3e8]}),
+    ], ids=["menu", "profile", "profile_1e9"])
     def test_roundtrip_verify_at_large_prices(self, tmp_path, base, changes):
-        # prices in the thousands: 9 stored digits round them by more
-        # than 1e-6, so the stored-solution slack scales with the prices
+        # prices in the thousands and billions: 9 stored digits round them
+        # by more than 1e-6, so the stored-solution slack scales with them
         config = write_config(tmp_path, edited(base, changes))
         mode, out = base["mode"], tmp_path / "out"
         assert run([mode, config, "--out", str(out), "--quiet"]) == 0
@@ -421,16 +422,21 @@ class TestCliVerifySimulate:
         assert run(["verify", config2, str(out / "profile.json"),
                     "--out", str(out), "--quiet"]) == 2
 
-    def test_tampered_solution_exit_3(self, tmp_path):
-        config = write_config(tmp_path, PROFILE_CONFIG)
-        out = tmp_path / "out"
-        run(["profile", config, "--out", str(out), "--quiet"])
-        solution = json.loads((out / "profile.json").read_text())
-        solution["entries"][1]["p"] -= 0.5
+    @pytest.mark.parametrize("mode, name", [("menu", "menu_log_budget.json"),
+                                            ("profile", "profile_bilinear.json")],
+                             ids=["menu", "profile"])
+    def test_tampered_solution_exit_3(self, tmp_path, mode, name):
+        # the last price raised 10%: its agents save more one entry down
+        config, out = str(DEMOS / name), tmp_path / "out"
+        assert run([mode, config, "--out", str(out), "--quiet"]) == 0
+        solution = json.loads((out / f"{mode}.json").read_text())
+        solution["entries"][-1]["p"] *= 1.1
         tampered = out / "tampered.json"
         tampered.write_text(json.dumps(solution))
         assert run(["verify", config, str(tampered),
                     "--out", str(out), "--quiet"]) == 3
+        report = json.loads((out / "verification.json").read_text())
+        assert {v["constraint"] for v in report["violations"]} <= {"IC", "IR.budget"}
 
     def test_dip_between_probes_exit_3(self, tmp_path):
         """The reference profile, stored under a config whose tabulated
@@ -506,15 +512,17 @@ class TestCliTradeoffCheck:
         assert summary["empirical"]["achievable"][0][0] is True
 
     def test_check_names_failing_condition(self, tmp_path):
-        payload = json.loads(json.dumps(MENU_CONFIG))
-        for budget in payload["budgets"]:
-            budget["base"]["scale"] = 1.0
-        config = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert run(["check", config, "--out", str(out), "--quiet"]) == 3
-        report = json.loads((out / "check.json").read_text())
-        failing = [c["id"] for c in report["checks"] if not c["passed"]]
-        assert any(cid.startswith("a3") for cid in failing)
+        unit_scales = edited(MENU_CONFIG, {f"budgets.{i}.base.scale": 1.0
+                                           for i in range(3)})
+        equal_budgets = dict(MENU_CONFIG, budgets=[MENU_CONFIG["budgets"][0]] * 2)
+        for payload, condition in ((unit_scales, "a3"),
+                                   (equal_budgets, "a2.single_crossing_1_2")):
+            config = write_config(tmp_path, payload)
+            out = tmp_path / condition
+            assert run(["check", config, "--out", str(out), "--quiet"]) == 3
+            report = json.loads((out / "check.json").read_text())
+            failing = [c["id"] for c in report["checks"] if not c["passed"]]
+            assert any(cid.startswith(condition) for cid in failing), failing
 
     def test_check_zero_width_demand_range_not_achievable(self, tmp_path):
         payload = json.loads(json.dumps(PROFILE_CONFIG))
@@ -668,18 +676,95 @@ class TestCliPlumbing:
     def test_missing_subcommand_is_parse_error(self):
         assert run([]) == 2
 
-    def test_module_entry_point(self, tmp_path):
-        config = write_config(tmp_path, TRADEOFF_CONFIG)
-        # the child imports the same package copy as this process
-        package_root = str(Path(contractpricing.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-m", "contractpricing", "tradeoff", config,
-             "--out", str(tmp_path / "out"), "--quiet"],
-            capture_output=True, text=True, env=env)
-        assert result.returncode == 0
-        assert (tmp_path / "out" / "tradeoff.csv").exists()
+    @pytest.mark.parametrize("launcher", ["module", "script"])
+    def test_module_entry_point(self, tmp_path, launcher):
+        """Every command on the demos, one child each, exits 0, and
+        ``simulate`` writes the pinned ``simulation.json`` bytes."""
+        menu = str(DEMOS / "menu_log_budget.json")
+        profile = str(DEMOS / "profile_bilinear.json")
+        solved = str(tmp_path / "profile.json")
+        for argv in (["menu", menu], ["verify", menu, str(tmp_path / "menu.json")],
+                     ["profile", profile], ["verify", profile, solved],
+                     ["simulate", profile, solved],
+                     ["tradeoff", str(DEMOS / "tradeoff_homogeneous.json")],
+                     ["check", menu], ["check", profile]):
+            result = run_cli([*argv, "--out", str(tmp_path), "--quiet"], launcher)
+            assert (result.returncode, result.stderr) == (0, ""), argv
+        pinned = json.loads((BENCH / "cli_digests.json").read_text())
+        assert hashlib.sha256((tmp_path / "simulation.json").read_bytes()).hexdigest() \
+            == pinned["simulate_bilinear"]["simulation.json"]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
+def test_demo_runs_clean(tmp_path, demo):
+    """A demo runs to its end with every warning an error, and writes
+    nothing to stderr."""
+    result = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+                            capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_ci_leaves_cli_checks_to_tests():
+    """No CI step runs an inline ``python -c`` program or the CLI, so that
+    a new CLI check can only be added as a test, which runs before a push."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert not re.search(r"\bpython3?\b.*\s-c\b", workflow)
+    assert "contractpricing" not in workflow
+
+
+class TestCliStdout:
+    """Without ``--quiet``, a command prints its table (a header row, a
+    dashed rule and one row per entry), then its status line."""
+
+    CHECK = (["condition", "passed", "margin"], ("check.json", "checks", "id"),
+             "all conditions hold")
+
+    #: argv on the demos (a solution is named by the command that wrote
+    #: it) -> table header, (artifact, its entry list, each entry's first
+    #: cell) and the start of the status line; a command without a table
+    #: prints its status line alone
+    CASES = {
+        "menu": (["menu", "menu_log_budget.json"],
+                 ["type", "quality", "price", "net_saving"],
+                 ("menu.json", "entries", "type"), "menu certified; artifacts in "),
+        "profile": (["profile", "profile_bilinear.json"],
+                    ["k", "theta", "price", "window_lo", "window_hi", "delta"],
+                    ("profile.json", "entries", "k"),
+                    "profile certified; artifacts in "),
+        "verify_menu": (["verify", "menu_log_budget.json", "menu.json"],
+                        None, None, "solution certified; worst margin "),
+        "verify_profile": (["verify", "profile_bilinear.json", "profile.json"],
+                           None, None, "solution certified; worst margin "),
+        "simulate": (["simulate", "profile_bilinear.json", "profile.json"],
+                     ["k", "fraction_intended", "min_saving", "provider_profit",
+                      "meets_target"], ("simulation.json", "bands", "k"),
+                     "out-of-band: "),
+        "tradeoff": (["tradeoff", "tradeoff_homogeneous.json"], None, None, "m0 = "),
+        "check_menu": (["check", "menu_log_budget.json"], *CHECK),
+        "check_profile": (["check", "profile_bilinear.json"], *CHECK),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table_then_status(self, tmp_path, capsys, case):
+        (command, config, *solution), header, entries, status = self.CASES[case]
+        config = str(DEMOS / config)
+        for name in solution:
+            assert run([name[:-len(".json")], config, "--out", str(tmp_path),
+                        "--quiet"]) == 0
+        out = tmp_path / "out"
+        assert run([command, config, *(str(tmp_path / name) for name in solution),
+                    "--out", str(out)]) == 0
+        *table, last = capsys.readouterr().out.splitlines()
+        assert last.startswith(status)
+        if header is None:
+            assert table == []
+            return
+        artifact, key, cell = entries
+        items = json.loads((out / artifact).read_text())[key]
+        assert table[0].split() == header
+        assert set(table[1]) == {"-", " "} and len(table[1]) == len(table[0])
+        assert len(table[1].split()) == len(header)
+        assert [row.split()[0] for row in table[2:]] == [str(i[cell]) for i in items]
 
 
 class TestCliBounds:
@@ -693,17 +778,21 @@ class TestCliBounds:
         assert run(["profile", config, "--out", str(out), "--quiet"]) == 0
         return config, str(out / "profile.json"), str(out)
 
-    @pytest.mark.parametrize("command", ["check", "profile"])
-    def test_profile_grid_n_bound(self, tmp_path, capsys, command):
-        payload = dict(PROFILE_CONFIG, grid_n=self.HUGE)
+    @pytest.mark.parametrize("command, grid_n", [
+        ("check", HUGE), ("profile", HUGE), ("check", 64.5), ("profile", 64.5)],
+        ids=["check", "profile", "check-fractional", "profile-fractional"])
+    def test_profile_grid_n_bound(self, tmp_path, capsys, command, grid_n):
+        payload = dict(PROFILE_CONFIG, grid_n=grid_n)
         config = write_config(tmp_path, payload)
         assert run([command, config, "--out", str(tmp_path / "o"),
                     "--quiet"]) == 2
         assert "grid_n" in json.loads(capsys.readouterr().err)["error"]["message"]
 
-    @pytest.mark.parametrize("command", ["check", "menu"])
-    def test_menu_grid_n_bound(self, tmp_path, command):
-        config = write_config(tmp_path, dict(MENU_CONFIG, grid_n=self.HUGE))
+    @pytest.mark.parametrize("command, grid_n", [
+        ("check", HUGE), ("menu", HUGE), ("check", 64.5), ("menu", 64.5)],
+        ids=["check", "menu", "check-fractional", "menu-fractional"])
+    def test_menu_grid_n_bound(self, tmp_path, command, grid_n):
+        config = write_config(tmp_path, dict(MENU_CONFIG, grid_n=grid_n))
         assert run([command, config, "--out", str(tmp_path / "o"),
                     "--quiet"]) == 2
 
@@ -748,16 +837,6 @@ class TestCliDomains:
         assert "tariff's theta domain" in error["message"]
 
 
-def run_module(argv, **env_vars):
-    """Run ``python -m contractpricing`` on this process's package copy,
-    with ``env_vars`` added to the environment."""
-    package_root = str(Path(contractpricing.__file__).resolve().parents[1])
-    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "contractpricing", *argv],
-                          capture_output=True, text=True, env=env)
-
-
 def nested_cost_config(tmp_path, levels):
     """Menu config text whose cost nests ``levels`` scaled declarations;
     built as text because ``json.dumps`` itself stops near 1000 levels."""
@@ -777,16 +856,15 @@ class TestCliErrorContract:
         return json.loads(result.stderr)["error"]
 
     def test_numpy_warnings_stay_off_stderr(self, tmp_path):
-        demo = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
-        payload = json.loads((demo / "profile_bilinear.json").read_text())
+        payload = json.loads((DEMOS / "profile_bilinear.json").read_text())
         config = write_config(tmp_path, edited(payload, {"tariff.d_p": 1e308}))
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             ["profile", config, "--out", str(tmp_path / "o"), "--quiet"]), 3)
         assert error["type"] == "NotAchievableError"
 
     def test_nesting_beyond_limit_names_path(self, tmp_path):
         config = nested_cost_config(tmp_path, 600)
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             ["menu", config, "--out", str(tmp_path / "o"), "--quiet"]), 2)
         assert error["type"] == "ConfigError"
         assert error["message"].startswith("cost.base.base")
@@ -794,7 +872,7 @@ class TestCliErrorContract:
 
     def test_nesting_beyond_json_decoder_is_config_error(self, tmp_path):
         config = nested_cost_config(tmp_path, 3000)
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             ["check", config, "--out", str(tmp_path / "o"), "--quiet"]), 2)
         assert error["type"] == "ConfigError"
         assert error["message"].startswith("malformed JSON")
@@ -837,7 +915,7 @@ class TestCliErrorContract:
     def test_menu_domains_checked_at_load_by_every_command(self, tmp_path):
         # the tables end at 200, the default search window at 1e6
         config = self.tabulated_menu(tmp_path, np.linspace(0.0, 200.0, 401))
-        errors = [self.error_of(run_module(
+        errors = [self.error_of(run_cli(
             [command, config, "--out", str(tmp_path / command), "--quiet"]), 2)
             for command in ("check", "menu")]
         assert errors[0] == errors[1]
@@ -881,7 +959,7 @@ class TestCliErrorContract:
         edit(stored)
         solution = tmp_path / "solution.json"
         solution.write_text(json.dumps(stored))
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             [command, config, str(solution), "--out", str(tmp_path / "o"),
              "--quiet"]), 2)
         assert error["type"] == "ConfigError"
@@ -895,7 +973,7 @@ class TestCliErrorContract:
     def test_usage_error_is_json(self, tmp_path, command, extra):
         config = write_config(tmp_path, PROFILE_CONFIG)
         solution = [] if command == "check" else [str(tmp_path / "profile.json")]
-        error = self.error_of(run_module([command, config, *solution, *extra]), 2)
+        error = self.error_of(run_cli([command, config, *solution, *extra]), 2)
         assert error["type"] == "ConfigError"
         assert extra[0] in error["message"]
 
@@ -914,10 +992,10 @@ class TestCliErrorContract:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         if via == "--out":
-            result = run_module(["check", config, "--out", str(blocker), "--quiet"])
+            result = run_cli(["check", config, "--out", str(blocker), "--quiet"])
         else:
-            result = run_module(["check", config, "--quiet"],
-                                CONTRACTPRICING_OUT=str(blocker))
+            result = run_cli(["check", config, "--quiet"],
+                             CONTRACTPRICING_OUT=str(blocker))
         error = self.error_of(result, 2)
         assert error["type"] == "ConfigError"
         assert str(blocker) in error["message"]
@@ -947,7 +1025,7 @@ class TestCliErrorContract:
     def test_config_not_utf8(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_bytes(json.dumps(MENU_CONFIG).encode() + b"\xff")
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             ["check", str(config), "--out", str(tmp_path / "o"), "--quiet"]), 2)
         assert error["type"] == "ConfigError"
         assert str(config) in error["message"]
@@ -956,7 +1034,7 @@ class TestCliErrorContract:
         config = write_config(tmp_path, PROFILE_CONFIG)
         solution = tmp_path / "profile.json"
         solution.write_bytes(b'{"mode": "profile\xff"}')
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             ["verify", config, str(solution), "--out", str(tmp_path / "o"),
              "--quiet"]), 2)
         assert error["type"] == "ConfigError"
@@ -968,7 +1046,7 @@ class TestCliErrorContract:
                         + b"\n0.9,\xff,1,1,1,1\n")
         config = write_config(tmp_path, dict(
             PROFILE_CONFIG, tariff={"family": "tabulated", "csv": "tariff.csv"}))
-        error = self.error_of(run_module(
+        error = self.error_of(run_cli(
             ["check", config, "--out", str(tmp_path / "o"), "--quiet"]), 2)
         assert error["type"] == "ConfigError"
         assert error["message"].startswith("tariff.csv: cannot parse")

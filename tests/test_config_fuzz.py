@@ -15,9 +15,6 @@ import functools
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,12 +23,12 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import contractpricing
 from contractpricing import errors
 from contractpricing.cli import run
 from contractpricing.functions import MAX_GRID_N
 from contractpricing.tradeoff import MAX_POINTS
 from contractpricing.verify import MAX_SAMPLES_PER_BAND
+from conftest import run_cli
 from oracles import MAX_QUAD_N
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -130,11 +127,7 @@ def _run_in_process(argv):
 
 
 def _run_child(argv):
-    package_root = str(Path(contractpricing.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-m", "contractpricing", *argv],
-                           capture_output=True, text=True, env=env)
+    child = run_cli(argv)
     return child.returncode, child.stderr
 
 

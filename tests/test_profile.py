@@ -345,9 +345,10 @@ class TestMarginSpec:
 
 class TestScenarioDomains:
     def test_grid_n_bound(self):
-        with pytest.raises(ScenarioError, match="grid_n"):
-            dataclasses.replace(make_bilinear_profile_scenario(),
-                                grid_n=10 ** 20)
+        for grid_n in (10 ** 20, 64.5):
+            with pytest.raises(ScenarioError, match="grid_n"):
+                dataclasses.replace(make_bilinear_profile_scenario(),
+                                    grid_n=grid_n)
 
     def test_separable_tabulated_g_must_cover_box(self):
         # g is sampled on [0.5, 0.9], the demand range is [1/3, 1]

@@ -144,7 +144,7 @@ IN_PROCESS = {
     "verify_profile_entries": (lambda: verify_profile(
         DemandPriceProfile((0.5,), (1.5,), ((1.1, 2.0),), (0.01,)),
         make_bilinear_profile_scenario()),
-        "profile has 1 entries but scenario declares 3"),
+        "profile.demands has 1 entries but scenario declares 3"),
 }
 
 

@@ -199,8 +199,9 @@ class TestEmpiricalRegion:
 
 class TestSizingBounds:
     def test_n_points_bound(self):
-        with pytest.raises(ScenarioError, match="n_points"):
-            homogeneous_region(1.0, 1.0, 3, 3.0, n_points=10 ** 20)
+        for n_points in (10 ** 20, 2.5):
+            with pytest.raises(ScenarioError, match="n_points"):
+                homogeneous_region(1.0, 1.0, 3, 3.0, n_points=n_points)
 
     @pytest.mark.parametrize("axis", ["b_grid", "m_grid"])
     def test_grid_length_bound(self, axis):

@@ -78,10 +78,26 @@ class TestVerifyMenu:
             min(float(scenario.net(1, menu.qualities[0])),
                 menu.prices[0] - 1.1 * menu.qualities[0]), abs=1e-9)
 
-    def test_length_mismatch_rejected(self, log_menu_scenario):
-        menu = QualityPriceMenu((1.0,), (1.1,), (0.0,))
-        with pytest.raises(ScenarioError):
-            verify_menu(menu, log_menu_scenario)
+    def test_length_mismatch_rejected(self, log_menu_scenario,
+                                      bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        short_prices = dataclasses.replace(profile, prices=profile.prices[:2])
+        two_entries = DemandPriceProfile(*(column[:2] for column in (
+            profile.demands, profile.prices, profile.windows, profile.step_sizes)))
+        for call, message in (
+                (lambda: verify_menu(QualityPriceMenu((1.0,), (1.1,), (0.0,)),
+                                     log_menu_scenario),
+                 "menu.qualities has 1 entries but scenario declares 3 types"),
+                (lambda: verify_menu(QualityPriceMenu((1.0, 3.0, 5.0), (1.1, 3.3),
+                                                      (0.0, 0.0, 0.0)),
+                                     log_menu_scenario),
+                 "menu.prices has 2 entries"),
+                (lambda: verify_profile(short_prices, bilinear_profile_scenario),
+                 "profile.prices has 2 entries but scenario declares 3 qualities"),
+                (lambda: simulate_market(two_entries, bilinear_profile_scenario, 10, 0),
+                 "profile.demands has 2 entries")):
+            with pytest.raises(ScenarioError, match=message):
+                call()
 
 
 class TestVerifyProfile:
@@ -600,8 +616,9 @@ class TestSizingBounds:
 
     def test_samples_per_band_bound(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
-        with pytest.raises(ScenarioError, match="samples_per_band"):
-            simulate_market(profile, bilinear_profile_scenario, self.HUGE, 0)
+        for samples in (self.HUGE, 1.5, True):
+            with pytest.raises(ScenarioError, match="samples_per_band"):
+                simulate_market(profile, bilinear_profile_scenario, samples, 0)
 
     def test_negative_seed_rejected(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
