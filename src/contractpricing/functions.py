@@ -80,11 +80,17 @@ def _evaluate(method, named_domains, *args):
     return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
 
-def check_size(name: str, value: int, lo: int, hi: int) -> None:
-    """Reject a sizing knob that is not an integer in [lo, hi] before
-    anything is allocated; numpy integers count, bools do not."""
+def check_integer(name: str, value: int) -> None:
+    """Reject ``value`` unless it is an integer; numpy integers count,
+    bools do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ScenarioError(f"{name} must be an integer")
+
+
+def check_size(name: str, value: int, lo: int, hi: int) -> None:
+    """Reject a sizing knob that is not an integer (:func:`check_integer`)
+    in [lo, hi] before anything is allocated."""
+    check_integer(name, value)
     if not lo <= value <= hi:
         raise ScenarioError(f"{name} must be at least {lo}" if value < lo
                             else f"{name} must be at most {hi}")

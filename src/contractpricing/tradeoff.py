@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import check_size
+from .functions import check_integer, check_size
 from .profile import ProfileScenario, _conditions
 
 # upper bounds of the boundary points and of each empirical grid axis
@@ -70,6 +70,7 @@ def homogeneous_region(quality_range: float, demand_range: float,
     and zero; each carries the boundary profit
     ``b = (demand_range - 4 * quality_range * L^2 * m) * d_p / L``.
     """
+    check_integer("n_types", n_types)
     if min(quality_range, demand_range, d_p) <= 0 or n_types < 1:
         raise ScenarioError("tradeoff parameters must be positive")
     check_size("n_points", n_points, 2, MAX_POINTS)

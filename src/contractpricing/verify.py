@@ -20,7 +20,7 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import REL_TOL, check_size, tolerance
+from .functions import REL_TOL, _inside, check_integer, check_size, tolerance
 from .serialize import null_non_finite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -248,10 +248,27 @@ class MarketSimReport:
 
 def _count_at_or_below(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """How many of ``edges`` lie at or below each value of ``x``, from one
-    (edges x block) comparison.  For sorted edges and finite ``x`` this is
+    (edges x block) comparison summed in the narrowest unsigned integer
+    that holds ``edges.size``.  For sorted edges and finite ``x`` this is
     ``np.searchsorted(edges, x, side="right")``; for unsorted edges it is
-    still this count."""
-    return np.count_nonzero(edges[:, None] <= x, axis=0)
+    still this count.  No domain is checked here: the simulator checks
+    the demands it locates once per pass, from the generator's extreme
+    draws (:func:`_tariff_value`)."""
+    return np.add.reduce(edges[:, None] <= x, axis=0, dtype=np.min_scalar_type(edges.size))
+
+
+def _tariff_value(tariff, theta_ends, qualities):
+    """The tariff's unchecked ``_value`` if demands ``theta_ends`` and
+    ``qualities`` pass its domain check, else its checked ``value``.
+
+    The caller evaluates only demands that lie between two of
+    ``theta_ends`` and qualities among ``qualities``; the containment rule
+    is an interval, so those pass whenever the ends do.  A pass whose ends
+    fail gets the checked call, which raises its ``DomainError`` at the
+    first demand outside."""
+    inside = all(np.all(_inside(np.asarray(x, dtype=float), *domain))
+                 for x, (_, domain) in zip((theta_ends, qualities), tariff._named_domains()))
+    return tariff._value if inside else tariff.value
 
 
 def _blocks(size: int):
@@ -274,14 +291,21 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     band uses an independent substream derived from the seed.
 
     Every pass draws and evaluates its users in blocks of ``SIM_BLOCK``,
-    one checked tariff call per block; an out-of-band user is evaluated
-    only at the quality assigned to them (see :class:`OutOfBandStats`).
+    one tariff call per block; an out-of-band user is evaluated only at
+    the quality assigned to them (see :class:`OutOfBandStats`).  The
+    domain is checked once per pass, not per block: the generator draws
+    ``lo + (hi - lo) * u`` with ``0 <= u < 1``, so every draw lies between
+    ``lo`` and ``lo + (hi - lo)``, and those ends and the qualities are
+    checked by the rule of the tariff's checked call.  A pass whose ends
+    fail evaluates every block by the checked call, which raises its
+    ``DomainError``.
     Memory is one float array of ``samples_per_band``, which holds each
     band's savings at its own quality in turn (kept whole because
     ``np.mean`` sums pairwise over the whole array), plus
     O(``SIM_BLOCK`` x qualities) per block.
     """
     check_size("samples_per_band", samples_per_band, 1, MAX_SAMPLES_PER_BAND)
+    check_integer("rng_seed", rng_seed)
     if rng_seed < 0:
         raise ScenarioError("rng_seed must be nonnegative")
     n = scenario.n_qualities
@@ -290,7 +314,7 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     m = scenario.margins.m
     b = scenario.margins.b
     tie = tolerance(*profile.prices)
-    qualities = np.asarray(s)[:, None]
+    qualities = np.asarray(s, dtype=float)[:, None]
     prices = np.asarray(profile.prices)[:, None]
     # each band's savings at its own quality, refilled band by band
     own = np.empty(samples_per_band)
@@ -299,16 +323,22 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     for k in range(n):
         rng = np.random.default_rng([int(rng_seed), k])
         lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
+        # ``uniform`` draws lo + (hi - lo) * u with 0 <= u < 1
+        value = _tariff_value(scenario.tariff, [lo, lo + (hi - lo)], qualities)
         intended = 0
         for start, stop in _blocks(samples_per_band):
             draws = rng.uniform(lo, hi, stop - start)
-            savings = scenario.tariff.value(draws[None, :], qualities)
+            savings = value(draws[None, :], qualities)
             savings -= prices
             own[start:stop] = savings[k]
             # k is picked when its saving is within ``tie`` of the best and
-            # no lower quality's is; max propagates NaN, so a NaN saving
-            # makes every comparison false and picks nothing
-            thr = savings.max(axis=0) - tie
+            # no lower quality's is.  The threshold needs only the best from
+            # k on: a lower quality that beats it is not below the threshold
+            # either way, so each quality is reduced once.  max propagates
+            # NaN, so a NaN saving makes every comparison false and picks
+            # nothing
+            thr = savings[k:].max(axis=0)
+            thr -= tie
             picked = savings[k] >= thr
             if k:
                 picked &= savings[:k].max(axis=0) < thr
@@ -362,10 +392,17 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
     cum = np.cumsum(lengths)
     seg_lo = np.array([seg[0] for seg in segments])
     seg_start = cum - lengths
+    # a segment's draws, computed below as here (seg_start's rounding
+    # included), rise with u: from its first u (0 or the previous
+    # segment's end) to its last (just below its end, or in the last
+    # segment the total, which bounds every u)
+    u_ends = (np.r_[0.0, cum[:-1]], np.r_[np.nextafter(cum[:-1], -np.inf), total])
+    s = np.asarray(scenario.qualities, dtype=float)
+    value = _tariff_value(scenario.tariff,
+                          np.concatenate([seg_lo + (u - seg_start) for u in u_ends]), s)
     # assignment rule of ``OutOfBandStats``: count theta_2..theta_L at or
     # below each draw
     upper_demands = np.asarray(profile.demands[1:], dtype=float)
-    s = np.asarray(scenario.qualities)
     p = np.asarray(profile.prices)
     affordable = 0
     min_saving = math.inf
@@ -374,9 +411,10 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
         # u's segment is the number of segments ending at or below it; a u
         # at the very end stays in the last segment
         idx = _count_at_or_below(cum[:-1], u)
-        draws = seg_lo[idx] + (u - seg_start[idx])
+        # ``take``: a narrow index is gathered without a cast to intp
+        draws = seg_lo.take(idx) + (u - seg_start.take(idx))
         assign = _count_at_or_below(upper_demands, draws)
-        saving = scenario.tariff.value(draws, s[assign]) - p[assign]
+        saving = value(draws, s.take(assign)) - p.take(assign)
         affordable += int(np.count_nonzero(saving >= 0.0))
         min_saving = np.minimum(min_saving, np.min(saving))
     return OutOfBandStats(

@@ -203,6 +203,13 @@ class TestSizingBounds:
             with pytest.raises(ScenarioError, match="n_points"):
                 homogeneous_region(1.0, 1.0, 3, 3.0, n_points=n_points)
 
+    def test_n_types_must_be_an_integer(self):
+        for n_types in (2.5, True):
+            with pytest.raises(ScenarioError, match="n_types must be an integer"):
+                homogeneous_region(2.0, 0.5, n_types, 3.0, 5)
+        assert (homogeneous_region(2.0, 0.5, np.int64(3), 3.0, 5).points
+                == homogeneous_region(2.0, 0.5, 3, 3.0, 5).points)
+
     @pytest.mark.parametrize("axis", ["b_grid", "m_grid"])
     def test_grid_length_bound(self, axis):
         grids = {"b_grid": [1e-4], "m_grid": [1e-5]}

@@ -2,6 +2,7 @@
 quadrature window oracle of ``oracles``."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -30,9 +31,11 @@ from contractpricing import (
     verify_profile,
 )
 from contractpricing.serialize import dumps_canonical, write_csv
+from contractpricing import functions
 from contractpricing.functions import tolerance
 from contractpricing.verify import SIM_BLOCK, _count_at_or_below
 from conftest import (
+    BENCH,
     DIP_THETA,
     dip_tariff,
     load_bench,
@@ -391,6 +394,21 @@ def twelve_quality_case():
     return build_profile(scenario), scenario
 
 
+@functools.lru_cache(maxsize=None)
+def market_sim_profiles():
+    """(profile, scenario) of each ``market_sim`` operation, keyed by the
+    operation, as the benchmark's seed-1 set-up builds them."""
+    run, workloads = load_bench("run"), load_bench("workloads")
+    market = workloads.MarketSim(BENCH.parent, None, 1,
+                                 run.WORKLOAD_NAMES.index("market_sim"), None)
+    market.setup()
+    return {op.key: op.data for op in market.ops}
+
+
+def market_sim_case(family, n):
+    return lambda: market_sim_profiles()[f"sim-{family}-{n}"]
+
+
 ORACLE_CASES = {
     "bilinear": certified(make_bilinear_profile_scenario),
     "separable_power_g": certified(make_separable_profile_scenario),
@@ -401,6 +419,8 @@ ORACLE_CASES = {
     "beyond_tie": lambda: tie_case(1.5),
     "single_quality": single_quality_case,
     "twelve_qualities": twelve_quality_case,
+    **{f"market_sim_{family}_{n}": market_sim_case(family, n)
+       for family, n in load_bench("workloads").MarketSim.PROFILES},
 }
 
 ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 1, 10 ** 5)
@@ -455,6 +475,98 @@ class TestSimulatorOracle:
         assert str(error.value) == str(oracle_error.value)
 
 
+def outcome(simulate, profile, scenario, samples):
+    """The report of ``simulate`` as a dict, or the message of its DomainError."""
+    try:
+        return simulate(profile, scenario, samples, 5).to_dict()
+    except DomainError as error:
+        return f"DomainError: {error}"
+
+
+class TestDomainChecks:
+    """The simulator checks the domain once per pass, from the extreme
+    draws of the generator, and behaves as the oracle's checked calls of
+    every draw."""
+
+    def test_check_count_independent_of_samples(self, monkeypatch):
+        """Checked calls per simulation: the same at one block per band
+        and at nine."""
+        profile, scenario = certified(make_bilinear_profile_scenario)()
+        checks = []
+        check = functions._check_in_interval
+        monkeypatch.setattr(functions, "_check_in_interval",
+                            lambda *args, **kw: checks.append(1) or check(*args, **kw))
+        counts = []
+        for samples in (SIM_BLOCK, 8 * SIM_BLOCK + 1):
+            checks.clear()
+            simulate_market(profile, scenario, samples, 5)
+            counts.append(len(checks))
+        assert counts[0] == counts[1]
+
+    @staticmethod
+    def regridded(theta_end, theta_up):
+        """The certified tabulated profile, its tariff's grid now ending at
+        ``theta_end`` and its box at ``theta_up``."""
+        profile, scenario = certified(tabulated_profile_scenario)()
+        thetas = np.linspace(scenario.box.theta_low, theta_end, 9)
+        ss = np.linspace(1.0, 3.0, 5)
+        assert thetas[-1] == theta_end
+        return profile, dataclasses.replace(
+            scenario, tariff=TabulatedTariff(thetas, ss, 4.0 * np.outer(thetas, ss)),
+            box=dataclasses.replace(scenario.box, theta_up=theta_up))
+
+    @staticmethod
+    def extreme_draw():
+        """``lo + (hi - lo)``, the largest draw ``uniform(lo, hi)`` can
+        return, for the last band of the certified tabulated profile."""
+        profile, scenario = certified(tabulated_profile_scenario)()
+        lo = profile.demands[-1] - scenario.margins.m[-1]
+        hi = profile.demands[-1] + scenario.margins.m[-1]
+        return lo + (hi - lo)
+
+    @pytest.mark.parametrize("ulps", [0, 1, -1])
+    def test_grid_ending_at_the_extreme_draw(self, ulps):
+        end = self.extreme_draw()
+        end = np.nextafter(end, end + ulps) if ulps else end
+        profile, scenario = self.regridded(end, end)
+        samples = 3 * SIM_BLOCK
+        assert (outcome(simulate_market, profile, scenario, samples)
+                == outcome(oracle_simulate, profile, scenario, samples))
+
+    @pytest.mark.parametrize("short", [1e-9, 1e-3])
+    def test_grid_short_of_the_band_past_the_tolerance(self, short):
+        """The band's ends fail the check: with no draw beyond the grid
+        (1e-9) the report is the oracle's, with draws beyond it (1e-3) so
+        is the error."""
+        end = self.extreme_draw() - short
+        profile, scenario = self.regridded(end, end)
+        samples = 3 * SIM_BLOCK
+        got = outcome(simulate_market, profile, scenario, samples)
+        assert got == outcome(oracle_simulate, profile, scenario, samples)
+        assert isinstance(got, str) == (short > 1e-6)
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_out_of_band_segment_ending_on_the_last_knot(self, ulps):
+        """The last out-of-band segment, (theta_3 + m_3, theta_up], ends on
+        the grid's last knot, or one ulp beyond it."""
+        theta_up = np.nextafter(1.0, 2.0) if ulps else 1.0
+        profile, scenario = self.regridded(1.0, theta_up)
+        samples = 3 * SIM_BLOCK + 1
+        got = outcome(simulate_market, profile, scenario, samples)
+        assert got == outcome(oracle_simulate, profile, scenario, samples)
+        assert got["out_of_band"]["samples"] == samples
+
+    def test_out_of_band_segment_beyond_the_grid_raises_as_oracle(self):
+        """A box past the tariff's domain, which validation rejects, set
+        behind its back: only the out-of-band draws leave the grid."""
+        profile, scenario = self.regridded(1.0, 1.0)
+        object.__setattr__(scenario, "box", dataclasses.replace(scenario.box, theta_up=1.001))
+        samples = 3 * SIM_BLOCK + 1
+        got = outcome(simulate_market, profile, scenario, samples)
+        assert got == outcome(oracle_simulate, profile, scenario, samples)
+        assert got.startswith("DomainError: theta=1.00")
+
+
 class TestCountAtOrBelow:
     """The segment and assignment lookups of the out-of-band pass."""
 
@@ -477,6 +589,15 @@ class TestCountAtOrBelow:
     def test_no_edges_counts_zero(self):
         assert np.array_equal(_count_at_or_below(np.array([]), self.X),
                               np.zeros(self.X.size, dtype=int))
+
+    @pytest.mark.parametrize("n_edges", [255, 256, 300])
+    def test_counts_beyond_a_byte(self, n_edges):
+        """Counts of 256 and more need a wider integer than 255 do."""
+        edges = np.linspace(0.0, 1.0, n_edges)
+        x = np.concatenate([[-1.0, 0.5, 1.0, 2.0], edges])
+        want = np.count_nonzero(edges[:, None] <= x, axis=0)
+        assert np.array_equal(_count_at_or_below(edges, x), want)
+        assert _count_at_or_below(edges, x).max() == n_edges
 
     def test_unsorted_edges_are_counted(self):
         got = _count_at_or_below(np.array([0.8, 0.5]),
@@ -624,6 +745,16 @@ class TestSizingBounds:
         profile = build_profile(bilinear_profile_scenario)
         with pytest.raises(ScenarioError, match="rng_seed"):
             simulate_market(profile, bilinear_profile_scenario, 10, -1)
+
+    def test_seed_must_be_an_integer(self, bilinear_profile_scenario):
+        profile = build_profile(bilinear_profile_scenario)
+        for seed in (1.5, True):
+            with pytest.raises(ScenarioError, match="rng_seed must be an integer"):
+                simulate_market(profile, bilinear_profile_scenario, 10, seed)
+        with pytest.raises(ScenarioError, match="rng_seed must be nonnegative"):
+            simulate_market(profile, bilinear_profile_scenario, 10, np.int64(-1))
+        assert (simulate_market(profile, bilinear_profile_scenario, 10, np.int64(3)).to_dict()
+                == simulate_market(profile, bilinear_profile_scenario, 10, 3).to_dict())
 
     def test_quad_n_bound(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
