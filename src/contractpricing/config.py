@@ -271,12 +271,10 @@ def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
 def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
     path = f"{path_prefix}margins"
     margins = expect_dict(raw, path)
-    _reject_unknown(margins, {"b", "m", "gap"}, path)
+    _reject_unknown(margins, {"b", "m"}, path)
     resolved = {key: number_list(require(margins, key, path), f"{path}.{key}")
                 for key in ("b", "m")}
-    if "gap" in margins:
-        resolved["gap"] = number_list(margins["gap"], f"{path}.gap")
-    return MarginSpec(**{key: tuple(v) for key, v in resolved.items()}), resolved
+    return MarginSpec(**resolved), resolved
 
 
 def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:

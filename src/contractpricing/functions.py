@@ -39,6 +39,9 @@ DEFAULT_GRID_N = 512
 #: largest grid accepted by the condition scans (work grows as grid_n**2)
 MAX_GRID_N = 1 << 16
 
+#: lower end of the regularity scan's geometric refinement, per s_probe_max
+PROBE_SCAN_START = 1e-9
+
 
 def tolerance(*terms: ArrayLike, rel: float = REL_TOL) -> ArrayLike:
     """``rel`` times the largest magnitude of the finite terms that formed a
@@ -96,6 +99,17 @@ def check_size(name: str, value: int, lo: int, hi: int) -> None:
                             else f"{name} must be at most {hi}")
 
 
+def _coefficient(name: str, value: float, positive: bool = False) -> float:
+    """A closed-form family's parameter as a float: finite, and
+    nonnegative, or positive if ``positive``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name} must be finite")
+    if value < 0 or (positive and value == 0):
+        raise ScenarioError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+    return value
+
+
 def _cell(grid: np.ndarray, x: np.ndarray):
     """Cell index of ``x`` (the last knot closes the last cell) and the
     position of ``x`` in the cell, 0 on its left knot and 1 on its right."""
@@ -144,9 +158,7 @@ class LinearFunction(ScalarFunction):
 
     def __init__(self, slope: float):
         super().__init__()
-        if slope < 0:
-            raise ScenarioError("linear slope must be nonnegative")
-        self.slope = float(slope)
+        self.slope = _coefficient("linear slope", slope)
 
     def _value(self, s):
         return self.slope * s
@@ -163,9 +175,7 @@ class LogFunction(ScalarFunction):
 
     def __init__(self, scale: float):
         super().__init__()
-        if scale < 0:
-            raise ScenarioError("log scale must be nonnegative")
-        self.scale = float(scale)
+        self.scale = _coefficient("log scale", scale)
 
     def _value(self, s):
         return self.scale * np.log1p(s)
@@ -182,12 +192,8 @@ class PowerFunction(ScalarFunction):
 
     def __init__(self, scale: float, exponent: float):
         super().__init__()
-        if scale < 0:
-            raise ScenarioError("power scale must be nonnegative")
-        if exponent <= 0:
-            raise ScenarioError("power exponent must be positive")
-        self.scale = float(scale)
-        self.exponent = float(exponent)
+        self.scale = _coefficient("power scale", scale)
+        self.exponent = _coefficient("power exponent", exponent, positive=True)
 
     def _value(self, s):
         return self.scale * np.power(s, self.exponent)
@@ -206,10 +212,8 @@ class ScaledFunction(ScalarFunction):
 
     def __init__(self, base: ScalarFunction, factor: float):
         super().__init__(base.domain)
-        if factor < 0:
-            raise ScenarioError("scale factor must be nonnegative")
         self.base = base
-        self.factor = float(factor)
+        self.factor = _coefficient("scale factor", factor)
 
     def _value(self, s):
         return self.factor * np.asarray(self.base._value(s))
@@ -302,9 +306,7 @@ class BilinearTariff(TariffFunction):
 
     def __init__(self, d_p: float):
         super().__init__()
-        if d_p <= 0:
-            raise ScenarioError("bilinear slope d_p must be positive")
-        self.d_p = float(d_p)
+        self.d_p = _coefficient("bilinear slope d_p", d_p, positive=True)
 
     def _value(self, th, sv):
         return self.d_p * th * sv
@@ -566,7 +568,7 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
 
     # existence scans include a geometric refinement near the origin so
     # that small feasible regions of the lowest type are not missed
-    geo = np.geomspace(hi * 1e-9, hi, 64)
+    geo = np.geomspace(hi * PROBE_SCAN_START, hi, 64)
     scan = np.unique(np.concatenate([grid, geo]))
     cb_scan = np.asarray(cost._value(scan)) + np.asarray(profit._value(scan))
     entry_gap = np.asarray(budgets[0]._value(scan)) - cb_scan

@@ -38,8 +38,9 @@ from .errors import (
     UnboundedFeasibleSetError,
 )
 from .fields import entry_list, number_column
-from .functions import (DEFAULT_GRID_N, MAX_GRID_N, ScalarFunction, _inside,
-                        check_menu_regularity, check_size, tolerance)
+from .functions import (DEFAULT_GRID_N, MAX_GRID_N, PROBE_SCAN_START,
+                        ScalarFunction, _inside, check_menu_regularity,
+                        check_size, tolerance)
 from .verify import verify_menu
 
 #: relative bracket width at which the maximizer bisection stops
@@ -47,6 +48,9 @@ MAXIMIZER_TOL = 1e-9
 
 #: relative bracket width at which the feasible-boundary bisection stops
 ROOT_TOL = 1e-12
+
+#: lower end of the feasible-boundary scan, per s_search_max
+SEARCH_SCAN_START = 1e-15
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,11 @@ class MenuScenario:
             raise ScenarioError("s_search_max must be positive and finite")
         if not 0 < self.s_probe_max <= self.s_search_max:
             raise ScenarioError("s_probe_max must lie in (0, s_search_max]")
+        for key, start in (("s_search_max", SEARCH_SCAN_START),
+                           ("s_probe_max", PROBE_SCAN_START)):
+            if not getattr(self, key) * start > 0:  # a geometric scan from 0
+                raise ScenarioError(f"{key} = {getattr(self, key):g} is too "
+                                    f"small: {start:g} * {key} underflows to 0")
         check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
         named = [(f"budgets[{i}]", p) for i, p in enumerate(self.budgets)]
         for name, func in named + [("cost", self.cost), ("profit", self.profit)]:
@@ -161,7 +170,7 @@ def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:
     """
     scenario._check_type(i)
     cap = scenario.s_search_max
-    candidates = np.geomspace(cap * 1e-15, cap, 256)
+    candidates = np.geomspace(cap * SEARCH_SCAN_START, cap, 256)
     vals = scenario._net(i, candidates)
 
     pos = np.flatnonzero(vals > 0.0)

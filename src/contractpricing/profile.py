@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -54,31 +53,21 @@ class MarginSpec:
 
     ``b`` holds per-quality profit floors, ``m`` per-quality demand
     half-widths; both must be finite, positive and strictly increasing.
-    ``gap`` optionally widens the per-step savings premium and defaults
-    to the consecutive profit increments ``b[k+1] - b[k]``.
+    The savings premium of step j is the profit increment
+    ``b[j-1] - b[j-2]``.
     """
 
     b: tuple[float, ...]
     m: tuple[float, ...]
-    gap: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         object.__setattr__(self, "m", tuple(float(x) for x in self.m))
-        if self.gap is not None:
-            object.__setattr__(self, "gap", tuple(float(x) for x in self.gap))
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        if self.gap is not None:
-            return self.gap
-        return tuple(self.b[k + 1] - self.b[k] for k in range(len(self.b) - 1))
 
     def validate(self, n_qualities: int) -> None:
         if len(self.b) != n_qualities or len(self.m) != n_qualities:
             raise ScenarioError("margins.b and margins.m must have one entry per quality")
-        gaps = self.gaps
-        for name, values in (("b", self.b), ("m", self.m), ("gap", gaps)):
+        for name, values in (("b", self.b), ("m", self.m)):
             if not all(map(math.isfinite, values)):
                 raise ScenarioError(f"margins.{name} must be finite")
         for name, values in (("b", self.b), ("m", self.m)):
@@ -86,13 +75,6 @@ class MarginSpec:
                 raise ScenarioError(f"margins.{name} must be positive")
             if any(x >= y for x, y in zip(values, values[1:])):
                 raise ScenarioError(f"margins.{name} must be strictly increasing")
-        if len(gaps) != n_qualities - 1:
-            raise ScenarioError("margins.gap must have one entry per consecutive pair")
-        for k, g in enumerate(gaps):
-            if g - (self.b[k + 1] - self.b[k]) < -tolerance(g, self.b[k + 1], self.b[k]):
-                raise ScenarioError(
-                    f"margins.gap[{k}] = {g:g} below the profit increment "
-                    f"{self.b[k + 1] - self.b[k]:g}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +119,11 @@ class ProfileScenario:
         if not 0.0 <= self.price_lambda <= 1.0:
             raise ScenarioError("price_lambda must lie in [0, 1]")
         check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
+
+    def _check_step(self, j: int) -> None:
+        """Reject a step index outside 2..n_qualities."""
+        if not 2 <= j <= self.n_qualities:
+            raise ScenarioError(f"step index {j} outside 2..{self.n_qualities}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +183,7 @@ def sensitivity_bounds(scenario: ProfileScenario, j: int) -> tuple[float, float]
     ``grid_n``-point demand grid (exact for families whose F_theta is
     monotone in demand, since the grid contains the endpoints).
     """
-    if not 2 <= j <= scenario.n_qualities:
-        raise ScenarioError(f"step index {j} outside 2..{scenario.n_qualities}")
+    scenario._check_step(j)
     theta_grid = np.linspace(scenario.box.theta_low, scenario.box.theta_up,
                              scenario.grid_n)
     s_prev = scenario.qualities[j - 2]
@@ -214,30 +200,32 @@ def sensitivity_bounds(scenario: ProfileScenario, j: int) -> tuple[float, float]
 
 
 def step_size(m_cur: float, m_prev: float, epsilon: float, delta: float,
-              gap: float) -> float:
+              premium: float) -> float:
     """Nominal-demand increment guaranteeing a nonempty price window."""
-    return (m_cur + m_prev) * (1.0 + 2.0 * epsilon / delta) + gap / delta
+    return (m_cur + m_prev) * (1.0 + 2.0 * epsilon / delta) + premium / delta
 
 
-def _increments(scenario: ProfileScenario, m, gaps) -> tuple:
-    """Delta_1 = m_1 followed by one :func:`step_size` per step 2..L.
+def _increments(scenario: ProfileScenario, b, m) -> tuple:
+    """Delta_1 = m_1 followed by one :func:`step_size` per step 2..L, each
+    with the profit increment ``b[j-1] - b[j-2]`` as its premium.
 
-    ``m`` and ``gaps`` may hold floats or numpy arrays that broadcast
+    ``b`` and ``m`` may hold floats or numpy arrays that broadcast
     together.
     """
     return (m[0],) + tuple(
         step_size(m[j - 1], m[j - 2], *sensitivity_bounds(scenario, j),
-                  gaps[j - 2])
+                  b[j - 1] - b[j - 2])
         for j in range(2, scenario.n_qualities + 1))
 
 
 def step_sizes(scenario: ProfileScenario) -> tuple[float, ...]:
     """All demand increments Delta_1..Delta_L (Delta_1 = m_1)."""
-    return _increments(scenario, scenario.margins.m, scenario.margins.gaps)
+    return _increments(scenario, scenario.margins.b, scenario.margins.m)
 
 
-def _conditions(scenario: ProfileScenario, b, m, gaps):
-    """The achievability conditions of margins ``b``, ``m`` and ``gaps``.
+def _conditions(scenario: ProfileScenario, b, m):
+    """The achievability conditions of margins ``b`` and ``m``; each
+    step's savings premium is the profit increment of ``b``.
 
     Returns the marginal-budget report, the increments, and the entry
     and demand-range conditions as ``(passed, margin)`` pairs.  The
@@ -249,7 +237,7 @@ def _conditions(scenario: ProfileScenario, b, m, gaps):
     box = scenario.box
     marginal = check_marginal_budget(scenario.tariff, scenario.cost, box,
                                      scenario.grid_n)
-    deltas = _increments(scenario, m, gaps)
+    deltas = _increments(scenario, b, m)
     s1 = scenario.qualities[0]
     f_entry = float(scenario.tariff.value(box.theta_low, s1))
     cost = float(scenario.cost.value(s1))
@@ -264,7 +252,7 @@ def _achievability(scenario: ProfileScenario
     """Achievability report plus the increments it was decided on."""
     margins = scenario.margins
     marginal, deltas, (entry_ok, entry), (spare_ok, spare) = _conditions(
-        scenario, margins.b, margins.m, margins.gaps)
+        scenario, margins.b, margins.m)
     return ConditionReport(marginal.checks + (
         ConditionCheck("entry", entry_ok, entry, None,
                        "F(theta_low, s_1) - C(s_1) - b_1"),
@@ -300,20 +288,18 @@ def price_window(scenario: ProfileScenario, j: int, theta_prev: float,
     Raises :class:`EmptyPriceWindowError` when A_j exceeds B_j by more
     than the tolerance of the price and tariff values that formed them.
     """
-    if not 2 <= j <= scenario.n_qualities:
-        raise ScenarioError(f"step index {j} outside 2..{scenario.n_qualities}")
+    scenario._check_step(j)
     s_prev = scenario.qualities[j - 2]
     s_cur = scenario.qualities[j - 1]
-    m_prev = scenario.margins.m[j - 2]
-    m_cur = scenario.margins.m[j - 1]
-    gap_prev = scenario.margins.gaps[j - 2]
+    b, m = scenario.margins.b, scenario.margins.m
+    m_prev, m_cur, premium = m[j - 2], m[j - 1], b[j - 1] - b[j - 2]
     F = scenario.tariff.value
 
     f_a, f_a_prev = F(theta_prev + m_prev, s_cur), F(theta_prev - m_prev, s_prev)
     f_b, f_b_prev = F(theta_j - m_cur, s_cur), F(theta_j + m_cur, s_prev)
-    a_j = p_prev + f_a - f_a_prev + gap_prev
+    a_j = p_prev + f_a - f_a_prev + premium
     b_j = p_prev + f_b - f_b_prev
-    if a_j - b_j > tolerance(p_prev, f_a, f_a_prev, f_b, f_b_prev, gap_prev):
+    if a_j - b_j > tolerance(p_prev, f_a, f_a_prev, f_b, f_b_prev, premium):
         raise EmptyPriceWindowError(
             f"empty price window at step {j}: A_{j} = {a_j:.12g} exceeds "
             f"B_{j} = {b_j:.12g}")

@@ -100,10 +100,11 @@ def empirical_region(scenario_template: ProfileScenario,
 
     Cell (i, j) reports whether the margins ``b_k = b_grid[i] * s_k``,
     ``m_k = m_grid[j] * s_k`` pass the full achievability check of the
-    profile solver; the template must be a valid scenario, and its own
-    margins are ignored.  The conditions are assembled by the profile
-    solver's own code, once, on the broadcast grid, so the matrix is
-    exactly the set of scenarios
+    profile solver, each step's savings premium being the profit
+    increment ``b_k - b_{k-1}``; the template must be a valid scenario,
+    and its own margins are ignored.  The conditions are assembled by the
+    profile solver's own code, once, on the broadcast grid, so the matrix
+    is exactly the set of scenarios
     :func:`~contractpricing.profile.build_profile` accepts.
     """
     b_grid = np.asarray(b_grid, dtype=float)
@@ -118,7 +119,6 @@ def empirical_region(scenario_template: ProfileScenario,
     # profit floors vary down the rows, half-widths across the columns
     b = [b_grid[:, None] * s for s in scenario_template.qualities]
     m = [m_grid[None, :] * s for s in scenario_template.qualities]
-    gaps = [y - x for x, y in zip(b, b[1:])]
     marginal, _, (entry_ok, _), (spare_ok, _) = _conditions(
-        scenario_template, b, m, gaps)
+        scenario_template, b, m)
     return marginal.passed & entry_ok & spare_ok

@@ -171,8 +171,8 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     minimum over the probes is the minimum over the band.  Per band k:
     affordability and the profit floor hold, quality s_k saves at least
     as much as any other quality, and for k < L the savings premium over
-    the next quality meets the gap.  ``slack`` is relative, as in
-    :func:`verify_menu`.  Report-valued.
+    the next quality meets the profit increment b_{k+1} - b_k.  ``slack``
+    is relative, as in :func:`verify_menu`.  Report-valued.
     """
     n = scenario.n_qualities
     _check_shape("profile", profile, n, "qualities")
@@ -187,14 +187,15 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
         _check_agent(acc, k, bands[k], prices, float(scenario.cost.value(s[k])) + b[k],
                      probes)
 
-    for k, gap in enumerate(scenario.margins.gaps):
+    for k in range(n - 1):
         # F(theta_k - m_k, s_k) and F(theta_k + m_k, s_{k+1}): band k's ends
         f_low, f_next = float(bands[k][k, 0]), float(bands[k][k + 1, -1])
         p_k, p_next = profile.prices[k], profile.prices[k + 1]
-        omega, rhs = f_low - p_k, gap + f_next - p_next
+        premium = b[k + 1] - b[k]
+        omega, rhs = f_low - p_k, premium + f_next - p_next
         acc.add("profit_constraint", k + 1, k + 2, omega - rhs,
                 {"saving_floor": omega, "next_quality_pull": rhs},
-                f_low, p_k, gap, f_next, p_next)
+                f_low, p_k, premium, f_next, p_next)
 
     return acc.report()
 

@@ -93,7 +93,7 @@ def quadrature_window(scenario, j, theta_prev, p_prev, theta_j, quad_n=256):
     a_j = (p_prev
            + simpson(f_s_at(theta_prev + m_prev), s_prev, s_j, quad_n)
            + simpson(f_theta, theta_prev - m_prev, theta_prev + m_prev, quad_n)
-           + scenario.margins.gaps[j - 2])
+           + (scenario.margins.b[j - 1] - scenario.margins.b[j - 2]))
     b_j = (p_prev
            + simpson(f_s_at(theta_j - m_j), s_prev, s_j, quad_n)
            - simpson(f_theta, theta_j - m_j, theta_j + m_j, quad_n))
@@ -405,7 +405,7 @@ def exact_profile_margins(profile, scenario):
     s = [Fraction(x) for x in scenario.qualities]
     p = [Fraction(x) for x in profile.prices]
     b = [Fraction(x) for x in scenario.margins.b]
-    m, gaps = scenario.margins.m, scenario.margins.gaps
+    m = scenario.margins.m
     n = len(p)
     out = []
     for k in range(n):
@@ -420,7 +420,7 @@ def exact_profile_margins(profile, scenario):
         # the verifier's band ends, rounded as it rounds them
         f_low = d_p * Fraction(profile.demands[k] - m[k]) * s[k]
         f_next = d_p * Fraction(profile.demands[k] + m[k]) * s[k + 1]
-        gap = Fraction(gaps[k])
-        out.append(((f_low - p[k]) - (gap + f_next - p[k + 1]),
-                    (f_low, p[k], gap, f_next, p[k + 1])))
+        premium = Fraction(scenario.margins.b[k + 1] - scenario.margins.b[k])
+        out.append(((f_low - p[k]) - (premium + f_next - p[k + 1]),
+                    (f_low, p[k], premium, f_next, p[k + 1])))
     return out

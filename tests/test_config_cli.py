@@ -112,7 +112,7 @@ class TestLoadConfig:
     def test_margin_rule_error_names_field(self, tmp_path):
         payload = json.loads(json.dumps(PROFILE_CONFIG))
         payload["margins"]["gap"] = [0.05, 0.1]
-        with pytest.raises(ConfigError, match=r"margins.gap\[0\]"):
+        with pytest.raises(ConfigError, match=r"margins: unknown key\(s\): gap"):
             load_config(write_config(tmp_path, payload))
 
     def test_box_rule_error_names_field(self, tmp_path):
@@ -245,6 +245,12 @@ class TestRuleOwners:
         "probe_beyond_search": (MENU_CONFIG,
                                 {"s_search_max": 50, "s_probe_max": 100},
                                 r"s_probe_max must lie in \(0, s_search_max\]"),
+        # the regularity scan's geometric grid would start at 0
+        "subnormal_probe": (MENU_CONFIG, {"s_probe_max": 5e-324},
+                            r"s_probe_max = 4\.94066e-324 is too small"),
+        "subnormal_search": (MENU_CONFIG,
+                             {"s_search_max": 1e-310, "s_probe_max": 1e-310},
+                             r"s_search_max = 1e-310 is too small"),
         "list_family": (MENU_CONFIG, {"cost.family": ["linear"]},
                         r"cost\.family: unknown family"),
         "object_family": (PROFILE_CONFIG, {"tariff.family": {"bilinear": 1}},
@@ -253,8 +259,6 @@ class TestRuleOwners:
                       "box: quality bounds must satisfy"),
         "quality_outside_box": (PROFILE_CONFIG, {"qualities.2": 3.5},
                                 r"qualities must lie within \[s_low, s_up\]"),
-        "gap_length": (PROFILE_CONFIG, {"margins.gap": [0.1]},
-                       "margins.gap must have one entry per consecutive pair"),
         "first_profit_floor": (PROFILE_CONFIG, {"margins.b.0": 0.0},
                                "margins.b must be positive"),
         "price_lambda": (PROFILE_CONFIG, {"price_lambda": 1.5},

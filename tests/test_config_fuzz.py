@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from contractpricing import errors
 from contractpricing.cli import run
 from contractpricing.functions import MAX_GRID_N
+from contractpricing.menu import MenuScenario
 from contractpricing.tradeoff import MAX_POINTS
 from contractpricing.verify import MAX_SAMPLES_PER_BAND
 from conftest import run_cli
@@ -41,7 +42,14 @@ COMMANDS = {
 }
 
 DELETE = object()
-HOSTILE = [DELETE, 0, -1, 1e308, 10 ** 400, True, None, "x", [], {}]
+HOSTILE = [DELETE, 0, -1, 5e-324, 1e308, 10 ** 400, True, None, "x", [], {}]
+
+#: optional keys that the fuzzed copy of a demo states at their defaults,
+#: so that mutations reach them; the demo file itself leaves them out
+STATED_DEFAULTS = {
+    "menu_log_budget.json": {key: getattr(MenuScenario, key)
+                             for key in ("s_search_max", "s_probe_max", "grid_n")},
+}
 
 #: solution files add the non-finite numbers that Python's json reads
 SOLUTION_HOSTILE = HOSTILE + [math.nan, math.inf, -math.inf]
@@ -88,7 +96,8 @@ def _apply(config, path, value) -> None:
 @st.composite
 def mutated_demo(draw):
     name = draw(st.sampled_from(sorted(COMMANDS)))
-    config = json.loads((DEMOS / name).read_text())
+    config = dict(json.loads((DEMOS / name).read_text()),
+                  **STATED_DEFAULTS.get(name, {}))
     targets = draw(st.lists(st.sampled_from(list(_paths(config))),
                             min_size=1, max_size=2, unique=True))
     for path in targets:

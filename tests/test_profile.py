@@ -95,11 +95,11 @@ class TestStepSizes:
             assert deltas[j - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_margin_limit(self):
-        # with all margins and gaps zero the step formula collapses to zero
+        # with all margins and premiums zero the step formula collapses to zero
         assert step_size(0.0, 0.0, 5.0, 2.0, 0.0) == 0.0
 
     def test_scale_equivariance_in_profit(self):
-        # scaling b (hence the default gaps) by c shifts each Delta_j by
+        # scaling b (hence the premiums) by c shifts each Delta_j by
         # exactly c times the original b-contribution
         base = make_bilinear_profile_scenario(b_scale=0.1)
         base_deltas = step_sizes(base)
@@ -154,7 +154,7 @@ class TestPriceWindow:
 
     def test_degenerate_window_formula(self):
         # half-widths that round away next to theta, profit increments
-        # (the default gap) of 1e-16 and a zero step collapse both ends to
+        # (the premiums) of 1e-16 and a zero step collapse both ends to
         # the price increment between qualities
         scenario = dataclasses.replace(
             make_bilinear_profile_scenario(),
@@ -253,12 +253,11 @@ class TestBuildProfile:
         profile = build_profile(scenario)
         F = scenario.tariff.value
         s = scenario.qualities
-        m = scenario.margins.m
-        gaps = scenario.margins.gaps
+        b, m = scenario.margins.b, scenario.margins.m
         for j in range(1, len(s)):
             th_prev = profile.demands[j - 1]
             lower = (F(th_prev + m[j - 1], s[j]) - F(th_prev + m[j - 1], s[j - 1])
-                     + gaps[j - 1])
+                     + (b[j] - b[j - 1]))
             assert profile.prices[j] - profile.prices[j - 1] >= lower - 1e-12
             assert lower > 0.0
 
@@ -328,14 +327,19 @@ class TestBuildProfile:
 
 
 class TestMarginSpec:
-    def test_default_gaps_are_profit_increments(self):
-        spec = MarginSpec(b=(0.1, 0.25, 0.5), m=(0.01, 0.02, 0.03))
-        assert spec.gaps == pytest.approx((0.15, 0.25))
-
-    def test_explicit_gap_must_cover_increment(self):
-        spec = MarginSpec(b=(0.1, 0.3), m=(0.01, 0.02), gap=(0.1,))
-        with pytest.raises(ScenarioError, match="gap"):
-            spec.validate(2)
+    def test_step_premium_is_profit_increment(self):
+        # a margin is (b, m) alone: step j's savings premium is b_j - b_{j-1}
+        scenario = dataclasses.replace(
+            make_bilinear_profile_scenario(),
+            margins=MarginSpec(b=(0.1, 0.25, 0.5), m=(0.01, 0.02, 0.03)))
+        b, m = scenario.margins.b, scenario.margins.m
+        deltas = step_sizes(scenario)
+        for j in (2, 3):
+            assert deltas[j - 1] == step_size(
+                m[j - 1], m[j - 2], *sensitivity_bounds(scenario, j),
+                b[j - 1] - b[j - 2])
+        with pytest.raises(TypeError):
+            MarginSpec(b=(0.1, 0.3), m=(0.01, 0.02), gap=(0.1,))
 
     def test_non_increasing_margins_rejected(self):
         spec = MarginSpec(b=(0.1, 0.2), m=(0.02, 0.01))

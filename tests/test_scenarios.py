@@ -13,14 +13,17 @@ from contractpricing import (
     DemandPriceProfile,
     DomainBox,
     LinearFunction,
+    LogFunction,
     MarginSpec,
     MenuScenario,
     NoInteriorMaximizerError,
+    PowerFunction,
     ProfileScenario,
     ScaledFunction,
     ScenarioError,
     TabulatedFunction,
     TabulatedTariff,
+    UnboundedFeasibleSetError,
     build_profile,
     check_achievability,
     check_marginal_budget,
@@ -96,9 +99,6 @@ NON_FINITE = {
                       "margins.m must be finite"),
     "margins.m_inf": (replaced_margins(b=(0.1, 0.2, 0.3), m=(0.01, 0.02, INF)),
                       "margins.m must be finite"),
-    "margins.gap": (replaced_margins(b=(0.1, 0.2, 0.3), m=(0.01, 0.02, 0.03),
-                                     gap=(NAN, NAN)),
-                    "margins.gap must be finite"),
     "box": (lambda: DomainBox(1.0 / 3.0, INF, 1.0, 3.0),
             "bounds must be finite"),
 }
@@ -109,6 +109,49 @@ def test_non_finite_value_is_a_scenario_error(case):
     build, message = NON_FINITE[case]
     with pytest.raises(ScenarioError, match=message):
         build()
+
+
+#: each closed-form family parameter, built from one value
+CLOSED_FORMS = {
+    "linear_slope": (LinearFunction, "linear slope"),
+    "log_scale": (LogFunction, "log scale"),
+    "power_scale": (lambda v: PowerFunction(v, 0.5), "power scale"),
+    "power_exponent": (lambda v: PowerFunction(1.0, v), "power exponent"),
+    "scaled_factor": (lambda v: ScaledFunction(LinearFunction(1.0), v),
+                      "scale factor"),
+    "bilinear_d_p": (BilinearTariff, "bilinear slope d_p"),
+}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+def test_non_finite_parameter_is_a_scenario_error(case, value):
+    # a sign rule alone lets NaN through, to fail later as the wrong class
+    build, name = CLOSED_FORMS[case]
+    with pytest.raises(ScenarioError, match=f"^{name} must be finite$"):
+        build(value)
+
+
+@pytest.mark.parametrize("window, key", [
+    ({"s_probe_max": 1e-320}, "s_probe_max"),
+    ({"s_probe_max": 5e-324}, "s_probe_max"),
+    ({"s_search_max": 1e-310, "s_probe_max": 1e-310}, "s_search_max"),
+])
+def test_subnormal_scan_window_is_a_scenario_error(window, key):
+    # a geometric scan from 1e-9 s_probe_max or 1e-15 s_search_max
+    # cannot start at 0
+    with pytest.raises(ScenarioError, match=f"^{key} = .* is too small"):
+        dataclasses.replace(make_log_menu_scenario(), **window)
+
+
+def test_smallest_scan_windows_are_scanned():
+    # a window whose scans start above 0 is scanned, not rejected: this
+    # one is too small to bound any type's feasible set
+    scenario = dataclasses.replace(make_log_menu_scenario(),
+                                   s_search_max=1e-300, s_probe_max=1e-300)
+    assert not check_menu_regularity(scenario).check("a3.top_bounded").passed
+    with pytest.raises(UnboundedFeasibleSetError):
+        feasible_interval(1, scenario)
 
 
 #: (call, message) of each in-process rule that no config reaches;
