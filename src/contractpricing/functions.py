@@ -110,6 +110,17 @@ def _coefficient(name: str, value: float, positive: bool = False) -> float:
     return value
 
 
+def _sorted_distinct(*parts: ArrayLike) -> np.ndarray:
+    """The sorted distinct values of the concatenated ``parts``: what
+    numpy's ``unique`` returns for float input without NaN, by the same
+    sort and neighbour mask, but without its masked-array test, which
+    imports ``numpy.ma`` on first use."""
+    x = np.sort(np.concatenate(parts))
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _cell(grid: np.ndarray, x: np.ndarray):
     """Cell index of ``x`` (the last knot closes the last cell) and the
     position of ``x`` in the cell, 0 on its left knot and 1 on its right."""
@@ -569,7 +580,7 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     # existence scans include a geometric refinement near the origin so
     # that small feasible regions of the lowest type are not missed
     geo = np.geomspace(hi * PROBE_SCAN_START, hi, 64)
-    scan = np.unique(np.concatenate([grid, geo]))
+    scan = _sorted_distinct(grid, geo)
     cb_scan = np.asarray(cost._value(scan)) + np.asarray(profit._value(scan))
     entry_gap = np.asarray(budgets[0]._value(scan)) - cb_scan
     k = int(np.argmax(entry_gap))

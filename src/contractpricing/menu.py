@@ -87,11 +87,15 @@ class MenuScenario:
             raise ScenarioError("s_search_max must be positive and finite")
         if not 0 < self.s_probe_max <= self.s_search_max:
             raise ScenarioError("s_probe_max must lie in (0, s_search_max]")
+        # every point of the geometric scans is a normal float: a window
+        # of subnormals fails the regularity scan on rounding alone
+        tiny = float(np.finfo(float).tiny)
         for key, start in (("s_search_max", SEARCH_SCAN_START),
                            ("s_probe_max", PROBE_SCAN_START)):
-            if not getattr(self, key) * start > 0:  # a geometric scan from 0
+            if not getattr(self, key) * start >= tiny:
                 raise ScenarioError(f"{key} = {getattr(self, key):g} is too "
-                                    f"small: {start:g} * {key} underflows to 0")
+                                    f"small: {start:g} * {key} is below the "
+                                    f"smallest normal float {tiny:g}")
         check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
         named = [(f"budgets[{i}]", p) for i, p in enumerate(self.budgets)]
         for name, func in named + [("cost", self.cost), ("profit", self.profit)]:

@@ -20,7 +20,8 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import REL_TOL, _inside, check_integer, check_size, tolerance
+from .functions import (REL_TOL, _inside, _sorted_distinct, check_integer,
+                        check_size, tolerance)
 from .serialize import null_non_finite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,9 +157,11 @@ def verify_menu(menu: "QualityPriceMenu", scenario: "MenuScenario",
 
 
 def _band_probes(tariff, theta_k: float, m_k: float) -> np.ndarray:
-    """The band's ends, its centre and the tariff's demand knots inside it."""
+    """The band's ends, its centre and the tariff's demand knots inside it,
+    sorted, each once (:func:`_sorted_distinct`; a band of width 0 is one
+    probe)."""
     lo, hi = theta_k - m_k, theta_k + m_k
-    return np.unique(np.concatenate([[lo, theta_k, hi], tariff.theta_knots(lo, hi)]))
+    return _sorted_distinct([lo, theta_k, hi], tariff.theta_knots(lo, hi))
 
 
 def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
@@ -272,6 +275,24 @@ def _tariff_value(tariff, theta_ends, qualities):
     return tariff._value if inside else tariff.value
 
 
+def _draw_width(width: float, what: str) -> float:
+    """``width``, the ``hi - lo`` that scales a pass's draws, if finite."""
+    if not math.isfinite(width):
+        raise ScenarioError(f"{what}: draw range width {width:g} is not finite")
+    return width
+
+
+def _uniform_fill(rng: np.random.Generator, out: np.ndarray, lo: float,
+                  width: float) -> np.ndarray:
+    """``out`` filled with ``rng.uniform(lo, lo + width, out.size)``: one
+    ``random`` fill of ``0 <= u < 1``, then ``u * width`` and ``lo + ...``
+    in place, each rounded once, as ``uniform`` computes them."""
+    rng.random(out=out)
+    out *= width
+    out += lo
+    return out
+
+
 def _blocks(size: int):
     """``(start, stop)`` of each block of ``SIM_BLOCK`` users."""
     for start in range(0, size, SIM_BLOCK):
@@ -293,13 +314,18 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
 
     Every pass draws and evaluates its users in blocks of ``SIM_BLOCK``,
     one tariff call per block; an out-of-band user is evaluated only at
-    the quality assigned to them (see :class:`OutOfBandStats`).  The
-    domain is checked once per pass, not per block: the generator draws
-    ``lo + (hi - lo) * u`` with ``0 <= u < 1``, so every draw lies between
-    ``lo`` and ``lo + (hi - lo)``, and those ends and the qualities are
-    checked by the rule of the tariff's checked call.  A pass whose ends
-    fail evaluates every block by the checked call, which raises its
-    ``DomainError``.
+    the quality assigned to them (see :class:`OutOfBandStats`).  A block
+    is one ``Generator.random`` fill of ``0 <= u < 1``, scaled in place
+    to ``lo + (hi - lo) * u`` (:func:`_uniform_fill`): a product and a
+    sum, each rounded once, as ``Generator.uniform(lo, hi)`` computes
+    them, bit for bit.  A band or out-of-band range whose width is not
+    finite is a ``ScenarioError``.  The domain is checked once per pass,
+    not per block, and rests on the simulator's own arithmetic: the
+    product rounds to at most ``hi - lo`` and the sum is monotone, so
+    every draw lies between ``lo`` and ``lo + (hi - lo)``, and those ends
+    and the qualities are checked by the rule of the tariff's checked
+    call.  A pass whose ends fail evaluates every block by the checked
+    call, which raises its ``DomainError``.
     Memory is one float array of ``samples_per_band``, which holds each
     band's savings at its own quality in turn (kept whole because
     ``np.mean`` sums pairwise over the whole array), plus
@@ -319,16 +345,17 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
     prices = np.asarray(profile.prices)[:, None]
     # each band's savings at its own quality, refilled band by band
     own = np.empty(samples_per_band)
+    buf = np.empty(min(samples_per_band, SIM_BLOCK))
 
     bands: list[BandStats] = []
     for k in range(n):
         rng = np.random.default_rng([int(rng_seed), k])
         lo, hi = profile.demands[k] - m[k], profile.demands[k] + m[k]
-        # ``uniform`` draws lo + (hi - lo) * u with 0 <= u < 1
-        value = _tariff_value(scenario.tariff, [lo, lo + (hi - lo)], qualities)
+        width = _draw_width(hi - lo, f"band {k + 1}")
+        value = _tariff_value(scenario.tariff, [lo, lo + width], qualities)
         intended = 0
         for start, stop in _blocks(samples_per_band):
-            draws = rng.uniform(lo, hi, stop - start)
+            draws = _uniform_fill(rng, buf[:stop - start], lo, width)
             savings = value(draws[None, :], qualities)
             savings -= prices
             own[start:stop] = savings[k]
@@ -385,7 +412,7 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
     if box.theta_up > cursor:
         segments.append((cursor, box.theta_up))
     lengths = np.array([hi - lo for lo, hi in segments], dtype=float)
-    total = float(lengths.sum()) if segments else 0.0
+    total = _draw_width(float(lengths.sum()), "out-of-band") if segments else 0.0
     if total <= 0.0:
         return None
 
@@ -407,8 +434,9 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
     p = np.asarray(profile.prices)
     affordable = 0
     min_saving = math.inf
+    buf = np.empty(min(n_samples, SIM_BLOCK))
     for start, stop in _blocks(n_samples):
-        u = rng.uniform(0.0, total, stop - start)
+        u = _uniform_fill(rng, buf[:stop - start], 0.0, total)
         # u's segment is the number of segments ending at or below it; a u
         # at the very end stays in the last segment
         idx = _count_at_or_below(cum[:-1], u)

@@ -245,9 +245,12 @@ class TestRuleOwners:
         "probe_beyond_search": (MENU_CONFIG,
                                 {"s_search_max": 50, "s_probe_max": 100},
                                 r"s_probe_max must lie in \(0, s_search_max\]"),
-        # the regularity scan's geometric grid would start at 0
+        # the regularity scan's geometric grid would start below the
+        # smallest normal float, at 0 or among the subnormals
         "subnormal_probe": (MENU_CONFIG, {"s_probe_max": 5e-324},
                             r"s_probe_max = 4\.94066e-324 is too small"),
+        "subnormal_range_probe": (MENU_CONFIG, {"s_probe_max": 3e-315},
+                                  r"s_probe_max = 3e-315 is too small"),
         "subnormal_search": (MENU_CONFIG,
                              {"s_search_max": 1e-310, "s_probe_max": 1e-310},
                              r"s_search_max = 1e-310 is too small"),
@@ -697,6 +700,51 @@ class TestCliPlumbing:
         pinned = json.loads((BENCH / "cli_digests.json").read_text())
         assert hashlib.sha256((tmp_path / "simulation.json").read_bytes()).hexdigest() \
             == pinned["simulate_bilinear"]["simulation.json"]
+
+
+#: a cold child's program: the commands ``sys.argv[1]`` (a JSON list of
+#: argv) run in turn through ``cli.run``; it prints, as JSON, whether
+#: ``numpy.ma`` was imported with the package, then per command the exit
+#: code, the numpy modules the command imported and whether ``numpy.ma``
+#: is imported after it
+COLD_CHILD = """
+import json, sys
+from contractpricing.cli import run
+records = ["numpy.ma" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    code = run(argv)
+    records.append([code, sorted(m for m in set(sys.modules) - before
+                                 if m.split(".")[0] == "numpy"),
+                    "numpy.ma" in sys.modules])
+print(json.dumps(records))
+"""
+
+
+def test_cold_child_imports_numpy_random_for_simulate_only(tmp_path):
+    """One cold child runs the six commands on the demos: none imports
+    ``numpy.ma``, and only ``simulate`` imports a numpy module that the
+    package import did not, ``numpy.random``."""
+    menu, profile = str(DEMOS / "menu_log_budget.json"), str(DEMOS / "profile_bilinear.json")
+    solved = str(tmp_path / "profile.json")
+    commands = [["menu", menu], ["verify", menu, str(tmp_path / "menu.json")],
+                ["profile", profile], ["verify", profile, solved],
+                ["tradeoff", str(DEMOS / "tradeoff_homogeneous.json")],
+                ["check", menu], ["check", profile], ["simulate", profile, solved]]
+    argvs = [[*argv, "--out", str(tmp_path), "--quiet"] for argv in commands]
+    result = subprocess.run([sys.executable, "-c", COLD_CHILD, json.dumps(argvs)],
+                            capture_output=True, text=True, env=child_env())
+    assert (result.returncode, result.stderr) == (0, "")
+    imported_with_package, *records = json.loads(result.stdout)
+    assert not imported_with_package
+    for argv, (code, numpy_modules, masked) in zip(commands, records, strict=True):
+        assert (code, masked) == (0, False), argv
+        if argv[0] == "simulate":
+            assert "numpy.random" in numpy_modules
+            assert all(m.startswith("numpy.random.") for m in numpy_modules
+                       if m != "numpy.random")
+        else:
+            assert numpy_modules == [], argv
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))

@@ -23,7 +23,8 @@ from contractpricing import (
     check_marginal_budget,
     check_menu_regularity,
 )
-from contractpricing.functions import REL_TOL, tolerance
+from contractpricing.functions import (PROBE_SCAN_START, REL_TOL, _sorted_distinct,
+                                       tolerance)
 from conftest import make_log_menu_scenario
 from oracles import simpson
 
@@ -190,6 +191,45 @@ class TestTolerance:
     def test_scalar_and_array_terms_agree(self):
         terms = (0.1, -7.5, 3.0)
         assert tolerance(*terms) == tolerance(*map(np.asarray, terms))
+
+
+#: the default probe window's grid and geometric refinement, which share
+#: their last point
+PROBE_GRID = (100.0 / 512) * np.arange(1, 513)
+PROBE_GEO = np.geomspace(100.0 * PROBE_SCAN_START, 100.0, 64)
+
+
+class TestSortedDistinct:
+    """``_sorted_distinct`` returns what ``np.unique`` returns for the
+    concatenated parts, element for element, sign of zero included."""
+
+    CASES = {
+        "sorted": (np.linspace(0.5, 2.0, 7),),
+        "duplicated": ([3.0, 1.0, 2.0], [1.0, 3.0, 0.5, 2.0, 2.0]),
+        # a band of width 0 (lo = theta = hi) without knots inside it
+        "zero_width_band": ([0.7, 0.7, 0.7], np.empty(0)),
+        "empty": (np.empty(0), np.empty(0)),
+        "signed_zeros": ([0.0, -0.0, 1.0], [-0.0]),
+        "probe_scan": (PROBE_GRID, PROBE_GEO),
+    }
+
+    @staticmethod
+    def assert_unique(parts):
+        got, want = _sorted_distinct(*parts), np.unique(np.concatenate(parts))
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_numpy_unique(self, case):
+        self.assert_unique(self.CASES[case])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 0.25, 3.0])
+                             | st.floats(allow_nan=False, allow_infinity=False),
+                             max_size=40), min_size=1, max_size=4))
+    def test_equals_numpy_unique_on_finite_parts(self, parts):
+        self.assert_unique([np.asarray(part, dtype=float) for part in parts])
 
 
 class TestMenuRegularity:

@@ -36,6 +36,8 @@ from contractpricing import (
     solve_menu,
     verify_profile,
 )
+from contractpricing.functions import PROBE_SCAN_START
+from contractpricing.menu import SEARCH_SCAN_START
 from conftest import make_bilinear_profile_scenario, make_log_menu_scenario
 
 NAN, INF = math.nan, math.inf
@@ -132,26 +134,45 @@ def test_non_finite_parameter_is_a_scenario_error(case, value):
         build(value)
 
 
+#: the smallest normal float, the floor of both scans' lower ends
+TINY = np.finfo(float).tiny
+
+
 @pytest.mark.parametrize("window, key", [
     ({"s_probe_max": 1e-320}, "s_probe_max"),
     ({"s_probe_max": 5e-324}, "s_probe_max"),
     ({"s_search_max": 1e-310, "s_probe_max": 1e-310}, "s_search_max"),
+    # a scan from the smallest subnormal, then two from just below the floor
+    ({"s_probe_max": 3e-315}, "s_probe_max"),
+    ({"s_probe_max": 0.99 * TINY / PROBE_SCAN_START}, "s_probe_max"),
+    ({"s_search_max": 0.99 * TINY / SEARCH_SCAN_START,
+      "s_probe_max": 0.99 * TINY / SEARCH_SCAN_START}, "s_search_max"),
 ])
 def test_subnormal_scan_window_is_a_scenario_error(window, key):
     # a geometric scan from 1e-9 s_probe_max or 1e-15 s_search_max
-    # cannot start at 0
+    # cannot start below the smallest normal float
     with pytest.raises(ScenarioError, match=f"^{key} = .* is too small"):
         dataclasses.replace(make_log_menu_scenario(), **window)
 
 
 def test_smallest_scan_windows_are_scanned():
-    # a window whose scans start above 0 is scanned, not rejected: this
-    # one is too small to bound any type's feasible set
+    # a window whose scans start at the smallest normal float is scanned,
+    # not rejected: this one is too small to bound any type's feasible set
+    window = TINY / SEARCH_SCAN_START
     scenario = dataclasses.replace(make_log_menu_scenario(),
-                                   s_search_max=1e-300, s_probe_max=1e-300)
+                                   s_search_max=window, s_probe_max=window)
     assert not check_menu_regularity(scenario).check("a3.top_bounded").passed
     with pytest.raises(UnboundedFeasibleSetError):
         feasible_interval(1, scenario)
+
+
+def test_smallest_probe_window_passes_on_rounding():
+    # every point of the smallest probe window is a normal float, so the
+    # shape checks hold as on the default window; on a window of
+    # subnormals, rounding alone fails a1.profit_convex and a2.*_concave
+    scenario = dataclasses.replace(make_log_menu_scenario(),
+                                   s_probe_max=TINY / PROBE_SCAN_START)
+    assert check_menu_regularity(scenario).passed
 
 
 #: (call, message) of each in-process rule that no config reaches;

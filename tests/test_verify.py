@@ -33,7 +33,7 @@ from contractpricing import (
 from contractpricing.serialize import dumps_canonical, write_csv
 from contractpricing import functions
 from contractpricing.functions import tolerance
-from contractpricing.verify import SIM_BLOCK, _count_at_or_below
+from contractpricing.verify import SIM_BLOCK, _count_at_or_below, _uniform_fill
 from conftest import (
     BENCH,
     DIP_THETA,
@@ -315,6 +315,48 @@ class TestSimulateMarket:
         assert json.loads(dumps_canonical(report.to_dict()))["out_of_band"] is None
 
 
+class TestUniformFill:
+    """The simulator draws a block as one ``random`` fill scaled in place;
+    the oracle draws with ``Generator.uniform``.  The two agree bit for
+    bit, so the simulator's extreme draws are ``uniform``'s."""
+
+    RANGES = [(0.25, 0.75), (1e-300, 3e-300), (-2.0, -1e-300), (0.0, 1e300),
+              (-1e300, 1e300), (1e300, 1.5e300), (0.7, 0.7)]
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    def test_equals_generator_uniform(self, seed, lo, hi):
+        buf = np.empty(1000)
+        got = _uniform_fill(np.random.default_rng([seed, 1]), buf[:999], lo, hi - lo)
+        want = np.random.default_rng([seed, 1]).uniform(lo, hi, 999)
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def one_band(m):
+        scenario = ProfileScenario((1.0,), BilinearTariff(4.0), LinearFunction(1.0),
+                                   DomainBox(0.25, 0.75, 1.0, 3.0),
+                                   MarginSpec(b=(0.1,), m=(m,)))
+        return DemandPriceProfile((0.5,), (1.05,), ((1.1, 1.0),), (m,)), scenario
+
+    def test_band_range_overflow_is_a_scenario_error(self):
+        # without the check, the fill would scale every draw by inf
+        profile, scenario = self.one_band(1e308)
+        with pytest.raises(ScenarioError,
+                           match=r"^band 1: draw range width inf is not finite$"):
+            simulate_market(profile, scenario, 100, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_out_of_band_range_overflow_is_a_scenario_error(self):
+        # a box that validation rejects, set behind its back: the two
+        # out-of-band segments each span 1.7e308
+        profile, scenario = self.one_band(0.25)
+        object.__setattr__(scenario.box, "theta_low", -1.7e308)
+        object.__setattr__(scenario.box, "theta_up", 1.7e308)
+        with pytest.raises(ScenarioError,
+                           match=r"^out-of-band: draw range width inf is not finite$"):
+            simulate_market(profile, scenario, 100, 5)
+
+
 def tabulated_profile_scenario():
     """The reference bilinear scenario with its tariff sampled on a grid."""
     scenario = make_bilinear_profile_scenario()
@@ -517,8 +559,9 @@ class TestDomainChecks:
 
     @staticmethod
     def extreme_draw():
-        """``lo + (hi - lo)``, the largest draw ``uniform(lo, hi)`` can
-        return, for the last band of the certified tabulated profile."""
+        """``lo + (hi - lo)``, the largest draw the simulator's fill (and
+        ``uniform(lo, hi)``) can return, for the last band of the certified
+        tabulated profile."""
         profile, scenario = certified(tabulated_profile_scenario)()
         lo = profile.demands[-1] - scenario.margins.m[-1]
         hi = profile.demands[-1] + scenario.margins.m[-1]
