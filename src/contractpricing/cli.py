@@ -52,12 +52,12 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .config import load_config, load_solution
-from .errors import ConfigError, ContractPricingError, ScenarioError
+from .errors import ConfigError, ContractPricingError
 from .functions import check_menu_regularity
 from .menu import solve_menu
 from .profile import build_profile, check_achievability
 from .serialize import dumps_canonical, format_float, write_csv, write_json
-from .tradeoff import empirical_region, homogeneous_region
+from .tradeoff import _empirical_artifacts, homogeneous_region
 from .verify import simulate_market, verify_menu, verify_profile
 
 #: environment variable naming the default output directory
@@ -213,19 +213,9 @@ def _cmd_tradeoff(args, config, out) -> _Result:
     summary = curve.to_dict()
     if params.empirical is not None:
         grid = params.empirical
-        norm = 4.0 * grid.template.box.quality_range * len(grid.template.qualities) ** 2
-        if not math.isfinite(norm * max(grid.m_grid)):
-            raise ScenarioError("empirical: normalized margin "
-                                "4 * quality_range * L^2 * m is not finite")
-        matrix = empirical_region(grid.template, grid.b_grid, grid.m_grid)
-        for i, b in enumerate(grid.b_grid):
-            for j, m in enumerate(grid.m_grid):
-                rows.append((m, b, norm * m, bool(matrix[i, j])))
-        summary["empirical"] = {
-            "b_grid": list(grid.b_grid),
-            "m_grid": list(grid.m_grid),
-            "achievable": matrix.tolist(),
-        }
+        summary["empirical"], grid_rows = _empirical_artifacts(
+            grid.template, grid.b_grid, grid.m_grid)
+        rows += grid_rows
     return _Result(
         {"tradeoff.json": summary,
          "tradeoff.csv": (["m", "b", "normalized_m", "achievable"], rows)},

@@ -3,27 +3,24 @@
 Configs are JSON documents with a ``mode`` of ``menu``, ``profile`` or
 ``tradeoff``.  This module only parses: it rejects unknown keys, wrong
 JSON types, non-finite numbers and nesting deeper than ``MAX_NESTING``,
-reads the referenced CSV files and names the field path in every
-error.  The constructors of the functions, the box and the scenarios own
-every value rule and the scenario defaults (price_lambda 0.5, grid_n
-512, s_search_max 1e6, s_probe_max 100); their messages appear behind
-the field path, as in
-``cost: linear slope must be nonnegative``.  Only the run-time knobs
-keep defaults and floors here (probes 9, quad_n 256, seed 42,
-samples_per_band 1000, points 50); the ceiling of a knob is checked by
-the command that reads it.  The empirical template of a tradeoff config
-takes only qualities, tariff, cost, box and grid_n: the grid supplies
-the margins, and nothing is priced.  ``probes`` and ``quad_n`` are
-parsed, floor-checked and hashed, but nothing reads them: the verifier
-probes each band at the tariff's own knots, and the quadrature window
-oracle is a test oracle now.  Dropping the keys would change the hash of
-every profile scenario, and so every stored profile solution and the
-pinned CLI artifact digests of the benchmark; it waits for a change that
-re-pins those.  The resolved dictionary, defaults filled in, has a canonical
-hash that solution files embed so that verification can detect
-configuration drift.  :func:`load_solution` checks a solution file's
-mode, hash and entry count; the ``from_dict`` of the solution class
-parses its body with the same field-path helpers (:mod:`.fields`).
+reads the referenced CSV files and names the field path in every error.
+The code that reads a value checks its range, not this module.
+Function, box and scenario constructors run at load, with the field
+path in front of their messages (``cost: linear slope must be
+nonnegative``), and the scenarios own their defaults (price_lambda 0.5,
+grid_n 512, s_search_max 1e6, s_probe_max 100).  :mod:`.tradeoff`
+checks the tradeoff values, and the simulator ``seed`` and
+``samples_per_band``, when a command reads them.  Only the run-time
+knobs keep defaults here (probes 9, quad_n 256, seed 42,
+samples_per_band 1000, points 50).  Nothing reads ``probes`` and
+``quad_n``, so their floors (3, 64) are checked here; they are hashed,
+and dropping them would change the hash of every profile scenario.  The empirical
+template of a tradeoff config takes only qualities, tariff, cost, box
+and grid_n.  The resolved dictionary, defaults filled in, has a
+canonical hash that solution files embed to detect configuration drift.
+:func:`load_solution` checks a solution file's mode and hash; the
+solution class's ``from_dict`` parses its body with the same field-path
+helpers (:mod:`.fields`), and the verifier checks its counts.
 
 Function declarations::
 
@@ -353,8 +350,8 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
                     "config")
     scenario, resolved = _parse_profile_core(raw, "", base_dir)
     knobs = {key: _integer(raw.get(key, DEFAULTS[key]), key, minimum=lowest)
-             for key, lowest in (("probes", 3), ("quad_n", 64), ("seed", 0),
-                                 ("samples_per_band", 1))}
+             for key, lowest in (("probes", 3), ("quad_n", 64), ("seed", None),
+                                 ("samples_per_band", None))}
     resolved.update(knobs)
     del knobs["probes"], knobs["quad_n"]  # hashed, read by nothing
     return resolved, {"profile": scenario, **knobs}
@@ -363,13 +360,11 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
 def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "delta_s", "delta_theta", "types", "d_p",
                           "points", "empirical"}, "config")
-    quality_range = number(require(raw, "delta_s", "config"), "delta_s",
-                            positive=True)
-    demand_range = number(require(raw, "delta_theta", "config"),
-                           "delta_theta", positive=True)
-    n_types = _integer(require(raw, "types", "config"), "types", minimum=1)
-    d_p = number(require(raw, "d_p", "config"), "d_p", positive=True)
-    points = _integer(raw.get("points", DEFAULTS["points"]), "points", minimum=2)
+    quality_range = number(require(raw, "delta_s", "config"), "delta_s")
+    demand_range = number(require(raw, "delta_theta", "config"), "delta_theta")
+    n_types = _integer(require(raw, "types", "config"), "types")
+    d_p = number(require(raw, "d_p", "config"), "d_p")
+    points = _integer(raw.get("points", DEFAULTS["points"]), "points")
     resolved = {
         "mode": "tradeoff",
         "delta_s": quality_range,
@@ -383,9 +378,9 @@ def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
         emp = expect_dict(raw["empirical"], "empirical")
         _reject_unknown(emp, {"b_grid", "m_grid", "scenario"}, "empirical")
         b_grid = number_list(require(emp, "b_grid", "empirical"),
-                              "empirical.b_grid", positive=True)
+                             "empirical.b_grid")
         m_grid = number_list(require(emp, "m_grid", "empirical"),
-                              "empirical.m_grid", positive=True)
+                             "empirical.m_grid")
         scn_raw = expect_dict(require(emp, "scenario", "empirical"),
                                "empirical.scenario")
         _reject_unknown(scn_raw, {"qualities", "tariff", "cost", "box",
@@ -430,9 +425,9 @@ def load_solution(path: Union[str, Path], config: ScenarioConfig
                   ) -> Union[QualityPriceMenu, DemandPriceProfile]:
     """Read a stored menu or profile solution of ``config``.
 
-    The solution's mode and scenario hash must match the config's, and it
-    must hold one entry per type (menu) or quality (profile); the body is
-    parsed by the solution class's ``from_dict``.  Raises
+    The solution's mode and scenario hash must match the config's; the
+    body is parsed by the solution class's ``from_dict``, and the
+    verifier or simulator that reads it checks its entry counts.  Raises
     :class:`ConfigError` naming the field on any mismatch.
     """
     path = Path(path)
@@ -452,12 +447,6 @@ def load_solution(path: Union[str, Path], config: ScenarioConfig
         raise ConfigError(
             "scenario hash mismatch: the solution was produced from a "
             "different configuration")
-    if config.mode == "menu":
-        solution, count, per = (QualityPriceMenu.from_dict(data),
-                                config.menu.n_types, "type")
-    else:
-        solution, count, per = (DemandPriceProfile.from_dict(data),
-                                config.profile.n_qualities, "quality")
-    if len(solution.entries) != count:
-        raise ConfigError(f"entries: expected {count} entries, one per {per}")
-    return solution
+    solution_class = (QualityPriceMenu if config.mode == "menu"
+                      else DemandPriceProfile)
+    return solution_class.from_dict(data)

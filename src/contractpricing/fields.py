@@ -1,8 +1,9 @@
 """Field-path readers of parsed JSON documents.
 
 Shared by the config parser and the readers of stored solutions: each
-helper checks one JSON value and raises :class:`ConfigError` naming its
-field path, as in ``entries[2].p: must be finite``.
+helper checks one JSON value's type and finiteness, not its range, and
+raises :class:`ConfigError` naming its field path, as in
+``entries[2].p: must be finite``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def require(d: dict, key: str, path: str):
     return d[key]
 
 
-def number(value, path: str, *, positive: bool = False) -> float:
+def number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     try:
@@ -33,16 +34,13 @@ def number(value, path: str, *, positive: bool = False) -> float:
         raise ConfigError(f"{path}: must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}: must be positive")
     return value
 
 
-def number_list(value, path: str, *, positive: bool = False) -> list[float]:
+def number_list(value, path: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return [number(v, f"{path}[{i}]", positive=positive)
-            for i, v in enumerate(value)]
+    return [number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def entry_list(data, key: str = "entries") -> list[tuple[str, dict]]:

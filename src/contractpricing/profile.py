@@ -156,8 +156,8 @@ class DemandPriceProfile:
     @classmethod
     def from_dict(cls, data) -> "DemandPriceProfile":
         """Parse :meth:`to_dict` output; :class:`ConfigError` names the
-        first field that is missing, not a finite number or of the wrong
-        length (two-number windows, one step size per quality)."""
+        first field that is missing, not a finite number or a window that
+        is not two numbers.  The verifier checks the column lengths."""
         entries = entry_list(data)
         windows = []
         for path, e in entries:
@@ -166,9 +166,6 @@ class DemandPriceProfile:
                 raise ConfigError(f"{path}.window: expected two numbers")
             windows.append(tuple(window))
         deltas = number_list(require(data, "deltas", "solution"), "deltas")
-        if len(deltas) != len(entries):
-            raise ConfigError(
-                f"deltas: expected {len(entries)} numbers, one per quality")
         return cls(demands=number_column(entries, "theta"),
                    prices=number_column(entries, "p"),
                    windows=tuple(windows), step_sizes=tuple(deltas))

@@ -20,12 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import check_integer, check_size
+from .functions import _coefficient, check_integer, check_size
 from .profile import ProfileScenario, _conditions
 
 # upper bounds of the boundary points and of each empirical grid axis
 MAX_POINTS = 10 ** 5
 MAX_REGION_AXIS = 2048
+
+
+def _margin_scale(quality_range: float, n: float) -> float:
+    """The boundary's margin factor ``4 * quality_range * L^2`` for L = n,
+    squared as given: exactly for an int, rounded once for a float."""
+    return 4.0 * quality_range * (n * n)
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class TradeoffCurve:
 
     def normalized_m(self, m: float) -> float:
         """Satisfaction margin rescaled by 4 * quality_range * L^2."""
-        return 4.0 * self.quality_range * self.n_types ** 2 * m
+        return _margin_scale(self.quality_range, self.n_types) * m
 
     def to_dict(self) -> dict:
         return {
@@ -70,24 +76,27 @@ def homogeneous_region(quality_range: float, demand_range: float,
     and zero; each carries the boundary profit
     ``b = (demand_range - 4 * quality_range * L^2 * m) * d_p / L``.
     """
+    quality_range = _coefficient("quality_range", quality_range, positive=True)
+    demand_range = _coefficient("demand_range", demand_range, positive=True)
     check_integer("n_types", n_types)
-    if min(quality_range, demand_range, d_p) <= 0 or n_types < 1:
-        raise ScenarioError("tradeoff parameters must be positive")
+    if n_types < 1:
+        raise ScenarioError("n_types must be at least 1")
+    d_p = _coefficient("d_p", d_p, positive=True)
     check_size("n_points", n_points, 2, MAX_POINTS)
 
     try:
         n = float(n_types)
     except OverflowError:  # beyond the float range: the boundary is not finite
         n = np.inf
-    coef_m = 4.0 * quality_range * (n * n)
+    coef_m = _margin_scale(quality_range, n)
     m0 = min(1.0, demand_range / coef_m)
     b0 = demand_range * d_p / n
     ms = np.linspace(m0, 0.0, n_points)
     with np.errstate(over="ignore", invalid="ignore"):
         bs = (demand_range - coef_m * ms) * d_p / n
     if not np.isfinite(np.r_[coef_m, m0, b0, bs]).all():
-        raise ScenarioError("tradeoff boundary is not finite; "
-                            "delta_s, delta_theta, types or d_p is too large")
+        raise ScenarioError("the tradeoff boundary of these quality_range, "
+                            "demand_range, n_types and d_p is not finite")
     points = tuple((float(m), float(b)) for m, b in zip(ms, bs))
     return TradeoffCurve(quality_range, demand_range, n_types, d_p,
                          points, float(m0), float(b0))
@@ -122,3 +131,19 @@ def empirical_region(scenario_template: ProfileScenario,
     marginal, _, (entry_ok, _), (spare_ok, _) = _conditions(
         scenario_template, b, m)
     return marginal.passed & entry_ok & spare_ok
+
+
+def _empirical_artifacts(template: ProfileScenario, b_grid: Sequence[float],
+                         m_grid: Sequence[float]) -> tuple[dict, list[tuple]]:
+    """The grids and matrix of :func:`empirical_region` as a JSON block,
+    and its cells, b-major, as rows like :meth:`TradeoffCurve.csv_rows`,
+    whose normalized margins must be finite."""
+    matrix = empirical_region(template, b_grid, m_grid)
+    scale = _margin_scale(template.box.quality_range, len(template.qualities))
+    if not np.isfinite(scale * max(m_grid)):
+        raise ScenarioError("empirical: normalized margin "
+                            "4 * quality_range * L^2 * m is not finite")
+    return ({"b_grid": list(b_grid), "m_grid": list(m_grid),
+             "achievable": matrix.tolist()},
+            [(m, b, scale * m, bool(matrix[i, j]))
+             for i, b in enumerate(b_grid) for j, m in enumerate(m_grid)])

@@ -308,6 +308,65 @@ class TestRuleOwners:
                                     "price_lambda")
 
 
+class TestRulesAtTheirReader:
+    """The config layer checks no value's range.  A config that breaks a
+    rule owned by a library call loads; the command that reads the value
+    exits 2 with that call's message, and commands that do not read it
+    accept the config."""
+
+    EMPIRICAL_CONFIG = dict(TRADEOFF_CONFIG, empirical={
+        "b_grid": [0.05], "m_grid": [0.002, 0.01],
+        "scenario": {key: PROFILE_CONFIG[key] for key in
+                     ("qualities", "tariff", "cost", "box")}})
+
+    TRADEOFF_CASES = {
+        "delta_s": ({"delta_s": 0.0}, "quality_range must be positive"),
+        "delta_theta": ({"delta_theta": -1.0}, "demand_range must be positive"),
+        "types": ({"types": 0}, "n_types must be at least 1"),
+        "d_p": ({"d_p": -3.0}, "d_p must be positive"),
+        "points": ({"points": 1}, "n_points must be at least 2"),
+        "b_grid": ({"empirical.b_grid.0": 0.0},
+                   "b_grid must be finite, positive and increasing"),
+        "m_grid": ({"empirical.m_grid.0": -0.002},
+                   "m_grid must be finite, positive and increasing"),
+        # the grid rule runs before the normalized margins are formed
+        "m_grid_order": ({"empirical.m_grid": [1e308, 0.002]},
+                         "m_grid must be finite, positive and increasing"),
+    }
+
+    def error(self, capsys) -> dict:
+        # the whole of stderr is one JSON object
+        return json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("case", sorted(TRADEOFF_CASES))
+    def test_tradeoff_rule(self, tmp_path, capsys, case):
+        changes, message = self.TRADEOFF_CASES[case]
+        config = write_config(tmp_path, edited(self.EMPIRICAL_CONFIG, changes))
+        load_config(config)
+        out = tmp_path / "o"
+        assert run(["tradeoff", config, "--out", str(out), "--quiet"]) == 2
+        assert self.error(capsys) == {"type": "ScenarioError", "exit_code": 2,
+                                      "message": message}
+        assert not (out / "tradeoff.json").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed": -1}, "rng_seed must be nonnegative"),
+        ({"samples_per_band": 0}, "samples_per_band must be at least 1"),
+    ], ids=["seed", "samples_per_band"])
+    def test_simulator_knob_read_only_by_simulate(self, tmp_path, capsys,
+                                                  changes, message):
+        config = write_config(tmp_path, edited(PROFILE_CONFIG, changes))
+        out = str(tmp_path / "o")
+        solution = str(tmp_path / "o" / "profile.json")
+        for argv in (["check", config], ["profile", config],
+                     ["verify", config, solution]):
+            assert run(argv + ["--out", out, "--quiet"]) == 0, argv
+        assert run(["simulate", config, solution, "--out", out,
+                    "--quiet"]) == 2
+        assert self.error(capsys) == {"type": "ScenarioError", "exit_code": 2,
+                                      "message": message}
+
+
 class TestCliMenu:
     def test_reference_menu_csv(self, tmp_path):
         config = write_config(tmp_path, MENU_CONFIG)
@@ -985,25 +1044,33 @@ class TestCliErrorContract:
         with pytest.raises(ConfigError, match=r"budgets\[0\] domain \[0\.5, 200\]"):
             load_config(config)
 
-    @pytest.mark.parametrize("command, edit, message", [
-        ("verify", lambda d: d.pop("entries"),
+    @pytest.mark.parametrize("command, edit, kind, message", [
+        ("verify", lambda d: d.pop("entries"), "ConfigError",
          "solution.entries: missing required field"),
-        ("verify", lambda d: d["entries"][0].update(p="x"),
+        ("verify", lambda d: d["entries"][0].update(p="x"), "ConfigError",
          "entries[0].p: expected a number"),
-        ("verify", lambda d: d["entries"][1].update(p=math.nan),
+        ("verify", lambda d: d["entries"][1].update(p=math.nan), "ConfigError",
          "entries[1].p: must be finite"),
         ("simulate", lambda d: d["entries"][0].update(theta=math.inf),
-         "entries[0].theta: must be finite"),
+         "ConfigError", "entries[0].theta: must be finite"),
+        # counts are the rule of the verifier or simulator that reads
+        # the solution, not of the file reader
         ("verify", lambda d: (d["entries"].pop(), d["deltas"].pop()),
-         "entries: expected 3 entries, one per quality"),
+         "ScenarioError",
+         "profile.demands has 2 entries but scenario declares 3 qualities"),
+        ("simulate", lambda d: d["entries"].pop(), "ScenarioError",
+         "profile.demands has 2 entries but scenario declares 3 qualities"),
         ("verify", lambda d: d["entries"][0].update(window=[1.0]),
-         "entries[0].window: expected two numbers"),
-        ("simulate", lambda d: d.update(deltas=[0.1]),
-         "deltas: expected 3 numbers, one per quality"),
+         "ConfigError", "entries[0].window: expected two numbers"),
+        ("simulate", lambda d: d.update(deltas=[0.1]), "ScenarioError",
+         "profile.step_sizes has 1 entries but scenario declares 3 qualities"),
+        ("verify", lambda d: d["deltas"].pop(), "ScenarioError",
+         "profile.step_sizes has 2 entries but scenario declares 3 qualities"),
     ], ids=["no_entries", "string_price", "nan_price", "infinite_theta",
-            "missing_entry", "short_window", "short_deltas"])
+            "missing_entry", "simulate_missing_entry", "short_window",
+            "short_deltas", "verify_short_deltas"])
     def test_malformed_solution_body_names_field(self, tmp_path, command,
-                                                 edit, message):
+                                                 edit, kind, message):
         config = write_config(tmp_path, PROFILE_CONFIG)
         assert run(["profile", config, "--out", str(tmp_path / "s"),
                     "--quiet"]) == 0
@@ -1014,7 +1081,7 @@ class TestCliErrorContract:
         error = self.error_of(run_cli(
             [command, config, str(solution), "--out", str(tmp_path / "o"),
              "--quiet"]), 2)
-        assert error["type"] == "ConfigError"
+        assert error["type"] == kind
         assert message in error["message"]
 
     @pytest.mark.parametrize("command, extra", [

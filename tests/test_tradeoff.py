@@ -1,6 +1,7 @@
 """Tradeoff curves and the empirical achievability region."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ class TestHomogeneousRegion:
             homogeneous_region(0.0, 1.0, 3, 3.0)
         with pytest.raises(ScenarioError):
             homogeneous_region(1.0, 1.0, 3, 3.0, n_points=1)
+
+    BAD_PARAMETERS = [
+        *((name, value, f"{name} must be {rule}")
+          for name in ("quality_range", "demand_range", "d_p")
+          for value, rule in ((0.0, "positive"), (-1.0, "positive"),
+                              (math.nan, "finite"))),
+        ("n_types", 0, "n_types must be at least 1"),
+        ("n_types", 1.5, "n_types must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("name, value, message", BAD_PARAMETERS,
+                             ids=[f"{name}={value}"
+                                  for name, value, _ in BAD_PARAMETERS])
+    def test_bad_parameter_is_named(self, name, value, message):
+        args = {"quality_range": 2.0, "demand_range": 2.0 / 3.0,
+                "n_types": 3, "d_p": 3.0, name: value}
+        with pytest.raises(ScenarioError) as info:
+            homogeneous_region(**args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args", [
+        (1e-308, 1e308, 3, 3.0),  # a cap overflows: quality_range too small
+        (2.0, 2.0 / 3.0, 10 ** 200, 3.0),  # L^2 overflows
+        (2.0, 2.0 / 3.0, 10 ** 400, 3.0),  # L is beyond the float range
+    ], ids=["small_quality_range", "large_n_types", "huge_n_types"])
+    def test_non_finite_boundary_names_parameters(self, args):
+        with pytest.raises(ScenarioError) as info:
+            homogeneous_region(*args)
+        assert str(info.value) == ("the tradeoff boundary of these "
+                                   "quality_range, demand_range, n_types "
+                                   "and d_p is not finite")
 
 
 class TestEmpiricalRegion:
