@@ -4,10 +4,10 @@ Configs are JSON documents with a ``mode`` of ``menu``, ``profile`` or
 ``tradeoff``.  This module only parses: it rejects unknown keys, wrong
 JSON types, non-finite numbers and nesting deeper than ``MAX_NESTING``,
 reads the referenced CSV files and names the field path in every error.
-The code that reads a value checks its range, not this module.
-Function, box and scenario constructors run at load, with the field
-path in front of their messages (``cost: linear slope must be
-nonnegative``), and the scenarios own their defaults (price_lambda 0.5,
+The code that reads a value checks it by the library's one number rule
+(``functions._coefficient``).  Function, box and scenario constructors
+run at load, with the field path in front of their messages (``cost:
+linear slope must be nonnegative``); the scenarios own their defaults (price_lambda 0.5,
 grid_n 512, s_search_max 1e6, s_probe_max 100).  :mod:`.tradeoff`
 checks the tradeoff values, and the simulator ``seed`` and
 ``samples_per_band``, when a command reads them.  Only the run-time

@@ -17,6 +17,7 @@ pure, so values can be shared freely across threads or processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -55,28 +56,27 @@ def tolerance(*terms: ArrayLike, rel: float = REL_TOL) -> ArrayLike:
 
 def _inside(x: ArrayLike, lo: float, hi: float) -> ArrayLike:
     """Whether ``x`` lies in [lo, hi], allowing 1e-12 times the larger of 1
-    and the finite ends' magnitudes; NaN is outside.  The one containment
-    rule of domain checks and of scenario validation."""
+    and the finite ends' magnitudes; NaN and infinities are outside.  The
+    one containment rule of domain checks and of scenario validation."""
     atol = 1e-12 * max(1.0, abs(lo), abs(hi) if math.isfinite(hi) else 1.0)
-    return (x >= lo - atol) & (x <= hi + atol)
+    return (x >= lo - atol) & (x <= (hi + atol if hi < math.inf else sys.float_info.max))
 
 
-def _check_in_interval(x: np.ndarray, lo: float, hi: float, name: str) -> None:
+def _check_in_interval(x, lo: float, hi: float, name: str) -> np.ndarray:
+    """``x`` as floats (:func:`_coefficients`), if all of it lies in [lo, hi]."""
+    x = _coefficients(name, x, "number")
     bad = ~_inside(x, lo, hi)
     if np.any(bad):
-        offender = float(np.asarray(x)[bad][0]) if np.ndim(x) else float(x)
-        raise DomainError(
-            f"{name}={offender:g} outside domain [{lo:g}, {hi:g}]"
-        )
+        offender = float(x[bad][0]) if x.ndim else float(x)
+        raise DomainError(f"{name}={offender:g} outside domain [{lo:g}, {hi:g}]")
+    return x
 
 
 def _evaluate(method, named_domains, *args):
-    """The one checked evaluation path of the public methods: check every
-    argument against its (name, domain), call ``method`` on float arrays,
-    and return floats (one or a tuple) for plain scalar arguments."""
-    arrays = [np.asarray(x, dtype=float) for x in args]
-    for arr, (name, domain) in zip(arrays, named_domains):
-        _check_in_interval(arr, *domain, name=name)
+    """The one checked evaluation path of the public methods: convert and
+    check every argument against its (name, domain), call ``method`` on the
+    float arrays, and return floats (one or a tuple) for scalar arguments."""
+    arrays = [_check_in_interval(x, *dom, name) for x, (name, dom) in zip(args, named_domains)]
     out = method(*arrays)
     if not all(isinstance(x, (int, float)) for x in args):
         return out
@@ -99,15 +99,32 @@ def check_size(name: str, value: int, lo: int, hi: int) -> None:
                             else f"{name} must be at most {hi}")
 
 
-def _coefficient(name: str, value: float, positive: bool = False) -> float:
-    """A closed-form family's parameter as a float: finite, and
-    nonnegative, or positive if ``positive``."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(f"{name} must be finite")
-    if value < 0 or (positive and value == 0):
-        raise ScenarioError(f"{name} must be {'positive' if positive else 'nonnegative'}")
-    return value
+def _coefficients(name: str, values, rule: str = "nonnegative",
+                  ndim: Optional[int] = None) -> np.ndarray:
+    """The one rule by which a caller's numbers enter the library: ``values``
+    as floats (``ndim``-D if given), each converted as ``float`` converts it,
+    then checked by ``rule``, one of "number" < "finite" < "nonnegative" < "positive"."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.char != "d":  # astype would read None as NaN
+            array = np.vectorize(float, otypes=[float])(array)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "finite" if isinstance(exc, OverflowError) else "numeric"
+        raise ScenarioError(f"{name} must be {kind}") from None
+    if ndim is not None and array.ndim != ndim:
+        raise ScenarioError(f"{name} must be " + ("a number" if ndim == 0 else f"{ndim}-D"))
+    if rule != "number" and array.size:  # on Python floats: one number costs no ufunc
+        lo, hi = (float(array.min()), float(array.max())) if array.ndim else (float(array),) * 2
+        if not -math.inf < lo <= hi < math.inf:
+            raise ScenarioError(f"{name} must be finite")
+        if rule != "finite" and not (lo > 0 if rule == "positive" else lo >= 0):
+            raise ScenarioError(f"{name} must be {rule}")
+    return array
+
+
+def _coefficient(name: str, value, rule: str = "nonnegative") -> float:
+    """:func:`_coefficients` for one number: ``value`` as a float."""
+    return float(_coefficients(name, value, rule, ndim=0))
 
 
 def _sorted_distinct(*parts: ArrayLike) -> np.ndarray:
@@ -142,8 +159,8 @@ class ScalarFunction:
     """
 
     def __init__(self, domain: tuple[float, float] = (0.0, math.inf)):
-        lo, hi = float(domain[0]), float(domain[1])
-        if lo < 0 or hi <= lo:
+        lo, hi = _coefficients("function domain", domain, "number").tolist()
+        if not 0 <= lo < hi:
             raise ScenarioError(f"invalid function domain [{lo:g}, {hi:g}]")
         self.domain = (lo, hi)
 
@@ -204,7 +221,7 @@ class PowerFunction(ScalarFunction):
     def __init__(self, scale: float, exponent: float):
         super().__init__()
         self.scale = _coefficient("power scale", scale)
-        self.exponent = _coefficient("power exponent", exponent, positive=True)
+        self.exponent = _coefficient("power exponent", exponent, "positive")
 
     def _value(self, s):
         return self.scale * np.power(s, self.exponent)
@@ -248,15 +265,12 @@ class TabulatedFunction(ScalarFunction):
     """
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = (_coefficients("tabulated data", a, "finite") for a in (xs, ys))
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ScenarioError("tabulated data must be two equal 1-D columns")
-        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
-            raise ScenarioError("tabulated data must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ScenarioError("tabulated coordinate column must be strictly increasing")
-        super().__init__((float(xs[0]), float(xs[-1])))
+        super().__init__(xs[[0, -1]])
         self.xs = xs
         self.ys = ys
         self.slopes = np.diff(ys) / np.diff(xs)
@@ -270,6 +284,7 @@ class TabulatedFunction(ScalarFunction):
         return 0.5 * (self.slopes[k] + self.slopes[k - ((w == 0) & (k > 0))])
 
     def knots(self, lo, hi):
+        lo, hi = _coefficients("knots window", (lo, hi), "number", ndim=1)
         return self.xs[(self.xs > lo) & (self.xs < hi)]
 
     def __repr__(self):
@@ -288,8 +303,8 @@ class TariffFunction:
     """
 
     def __init__(self, theta_domain=(0.0, math.inf), s_domain=(0.0, math.inf)):
-        self.theta_domain = (float(theta_domain[0]), float(theta_domain[1]))
-        self.s_domain = (float(s_domain[0]), float(s_domain[1]))
+        self.theta_domain = tuple(_coefficients("theta_domain", theta_domain, "number").tolist())
+        self.s_domain = tuple(_coefficients("s_domain", s_domain, "number").tolist())
 
     def value(self, theta: ArrayLike, s: ArrayLike) -> ArrayLike:
         return _evaluate(self._value, self._named_domains(), theta, s)
@@ -317,7 +332,7 @@ class BilinearTariff(TariffFunction):
 
     def __init__(self, d_p: float):
         super().__init__()
-        self.d_p = _coefficient("bilinear slope d_p", d_p, positive=True)
+        self.d_p = _coefficient("bilinear slope d_p", d_p, "positive")
 
     def _value(self, th, sv):
         return self.d_p * th * sv
@@ -365,17 +380,14 @@ class TabulatedTariff(TariffFunction):
     """
 
     def __init__(self, thetas: Sequence[float], ss: Sequence[float], values):
-        thetas = np.asarray(thetas, dtype=float)
-        ss = np.asarray(ss, dtype=float)
-        values = np.asarray(values, dtype=float)
+        thetas, ss, values = (_coefficients("tabulated tariff grids and values", a, "finite")
+                              for a in (thetas, ss, values))
         if (thetas.ndim != 1 or ss.ndim != 1 or min(thetas.size, ss.size) < 2
                 or values.shape != (thetas.size, ss.size)):
             raise ScenarioError("tabulated tariff needs 2+ knots per axis and a matching value matrix")
-        if not all(np.all(np.isfinite(a)) for a in (thetas, ss, values)):
-            raise ScenarioError("tabulated tariff grids and values must be finite")
         if np.any(np.diff(thetas) <= 0) or np.any(np.diff(ss) <= 0):
             raise ScenarioError("tabulated tariff grids must be strictly increasing")
-        super().__init__((float(thetas[0]), float(thetas[-1])), (float(ss[0]), float(ss[-1])))
+        super().__init__(thetas[[0, -1]], ss[[0, -1]])
         self.thetas = thetas
         self.ss = ss
         self.values_grid = values
@@ -408,6 +420,7 @@ class TabulatedTariff(TariffFunction):
         return f_theta, f_s, f_2
 
     def theta_knots(self, lo, hi):
+        lo, hi = _coefficients("knots window", (lo, hi), "number", ndim=1)
         return self.thetas[(self.thetas > lo) & (self.thetas < hi)]
 
     def __repr__(self):
@@ -430,17 +443,17 @@ class DomainBox:
     s_up: float
 
     def __post_init__(self):
+        for key in ("theta_low", "theta_up", "s_low", "s_up"):
+            object.__setattr__(self, key, _coefficient(key, getattr(self, key), "positive"))
         self.validate()
 
     def validate(self) -> None:
         # a zero-width demand range is tolerated here; the achievability
         # predicate reports it as a failing demand-range condition
-        if not (0 < self.theta_low <= self.theta_up):
-            raise ScenarioError("demand bounds must satisfy 0 < theta_low <= theta_up")
-        if not (0 < self.s_low < self.s_up):
-            raise ScenarioError("quality bounds must satisfy 0 < s_low < s_up")
-        if not (math.isfinite(self.theta_up) and math.isfinite(self.s_up)):
-            raise ScenarioError("bounds must be finite")
+        if not self.theta_low <= self.theta_up:
+            raise ScenarioError("demand bounds must satisfy theta_low <= theta_up")
+        if not self.s_low < self.s_up:
+            raise ScenarioError("quality bounds must satisfy s_low < s_up")
 
     @property
     def demand_range(self) -> float:

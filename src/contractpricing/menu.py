@@ -23,7 +23,6 @@ the public ``net``/``net_derivative`` and the verifier keep their checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ from .errors import (
     UnboundedFeasibleSetError,
 )
 from .fields import entry_list, number_column
-from .functions import (DEFAULT_GRID_N, MAX_GRID_N, PROBE_SCAN_START,
-                        ScalarFunction, _inside, check_menu_regularity,
+from .functions import (DEFAULT_GRID_N, MAX_GRID_N, PROBE_SCAN_START, ScalarFunction,
+                        _coefficient, _inside, check_integer, check_menu_regularity,
                         check_size, tolerance)
 from .verify import verify_menu
 
@@ -73,6 +72,8 @@ class MenuScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(self.budgets))
+        for key in ("s_search_max", "s_probe_max"):
+            object.__setattr__(self, key, _coefficient(key, getattr(self, key), "positive"))
         self.validate()
 
     @property
@@ -82,10 +83,7 @@ class MenuScenario:
     def validate(self) -> None:
         if self.n_types < 1:
             raise ScenarioError("at least one budget function is required")
-        # the regularity scan doubles its probe up to s_search_max
-        if not 0 < self.s_search_max < math.inf:
-            raise ScenarioError("s_search_max must be positive and finite")
-        if not 0 < self.s_probe_max <= self.s_search_max:
+        if not self.s_probe_max <= self.s_search_max:
             raise ScenarioError("s_probe_max must lie in (0, s_search_max]")
         # every point of the geometric scans is a normal float: a window
         # of subnormals fails the regularity scan on rounding alone
@@ -106,7 +104,8 @@ class MenuScenario:
                     f"search window [0, {self.s_search_max:g}]")
 
     def _check_type(self, i: int) -> None:
-        """Reject a type index outside 1..n_types."""
+        """Reject a type index that is not an integer in 1..n_types."""
+        check_integer("type index", i)
         if not 1 <= i <= self.n_types:
             raise ScenarioError(f"type index {i} outside 1..{self.n_types}")
 

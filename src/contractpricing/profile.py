@@ -17,7 +17,6 @@ certified by the independent verifier.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,10 @@ from .functions import (
     DomainBox,
     ScalarFunction,
     TariffFunction,
+    _coefficient,
+    _coefficients,
     _inside,
+    check_integer,
     check_marginal_budget,
     check_size,
     tolerance,
@@ -61,15 +63,13 @@ class MarginSpec:
     m: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-        object.__setattr__(self, "m", tuple(float(x) for x in self.m))
+        for key in ("b", "m"):
+            object.__setattr__(self, key, tuple(_coefficients(
+                f"margins.{key}", getattr(self, key), "finite", ndim=1).tolist()))
 
     def validate(self, n_qualities: int) -> None:
         if len(self.b) != n_qualities or len(self.m) != n_qualities:
             raise ScenarioError("margins.b and margins.m must have one entry per quality")
-        for name, values in (("b", self.b), ("m", self.m)):
-            if not all(map(math.isfinite, values)):
-                raise ScenarioError(f"margins.{name} must be finite")
         for name, values in (("b", self.b), ("m", self.m)):
             if values[0] <= 0:
                 raise ScenarioError(f"margins.{name} must be positive")
@@ -90,7 +90,9 @@ class ProfileScenario:
     grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        object.__setattr__(self, "qualities", tuple(float(s) for s in self.qualities))
+        object.__setattr__(self, "qualities", tuple(_coefficients(
+            "qualities", self.qualities, "positive", ndim=1).tolist()))
+        object.__setattr__(self, "price_lambda", _coefficient("price_lambda", self.price_lambda))
         self.validate()
 
     @property
@@ -101,8 +103,6 @@ class ProfileScenario:
         s, box = self.qualities, self.box
         if len(s) < 1:
             raise ScenarioError("at least one quality is required")
-        if not min(s) > 0:
-            raise ScenarioError("qualities must be positive")
         if not all(x < y for x, y in zip(s, s[1:])):
             raise ScenarioError("qualities must be strictly increasing")
         if not all(_inside(x, box.s_low, box.s_up) for x in (s[0], s[-1])):
@@ -116,12 +116,13 @@ class ProfileScenario:
                 raise ScenarioError(f"box {what} [{lo:g}, {hi:g}] exceeds the "
                                     f"{owner} domain [{d_lo:g}, {d_hi:g}]")
         self.margins.validate(len(s))
-        if not 0.0 <= self.price_lambda <= 1.0:
+        if not self.price_lambda <= 1.0:
             raise ScenarioError("price_lambda must lie in [0, 1]")
         check_size("grid_n", self.grid_n, 16, MAX_GRID_N)
 
     def _check_step(self, j: int) -> None:
-        """Reject a step index outside 2..n_qualities."""
+        """Reject a step index that is not an integer in 2..n_qualities."""
+        check_integer("step index", j)
         if not 2 <= j <= self.n_qualities:
             raise ScenarioError(f"step index {j} outside 2..{self.n_qualities}")
 
@@ -286,6 +287,8 @@ def price_window(scenario: ProfileScenario, j: int, theta_prev: float,
     than the tolerance of the price and tariff values that formed them.
     """
     scenario._check_step(j)
+    theta_prev, p_prev, theta_j = (_coefficient(name, x, "finite") for name, x in zip(
+        ("theta_prev", "p_prev", "theta_j"), (theta_prev, p_prev, theta_j)))
     s_prev = scenario.qualities[j - 2]
     s_cur = scenario.qualities[j - 1]
     b, m = scenario.margins.b, scenario.margins.m

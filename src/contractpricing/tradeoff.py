@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import _coefficient, check_integer, check_size
+from .functions import _coefficient, _coefficients, check_size
 from .profile import ProfileScenario, _conditions
 
 # upper bounds of the boundary points and of each empirical grid axis
@@ -48,7 +48,7 @@ class TradeoffCurve:
 
     def normalized_m(self, m: float) -> float:
         """Satisfaction margin rescaled by 4 * quality_range * L^2."""
-        return _margin_scale(self.quality_range, self.n_types) * m
+        return _margin_scale(self.quality_range, self.n_types) * _coefficient("m", m, "number")
 
     def to_dict(self) -> dict:
         return {
@@ -76,12 +76,10 @@ def homogeneous_region(quality_range: float, demand_range: float,
     and zero; each carries the boundary profit
     ``b = (demand_range - 4 * quality_range * L^2 * m) * d_p / L``.
     """
-    quality_range = _coefficient("quality_range", quality_range, positive=True)
-    demand_range = _coefficient("demand_range", demand_range, positive=True)
-    check_integer("n_types", n_types)
-    if n_types < 1:
-        raise ScenarioError("n_types must be at least 1")
-    d_p = _coefficient("d_p", d_p, positive=True)
+    quality_range = _coefficient("quality_range", quality_range, "positive")
+    demand_range = _coefficient("demand_range", demand_range, "positive")
+    check_size("n_types", n_types, 1, np.inf)
+    d_p = _coefficient("d_p", d_p, "positive")
     check_size("n_points", n_points, 2, MAX_POINTS)
 
     try:
@@ -116,8 +114,8 @@ def empirical_region(scenario_template: ProfileScenario,
     is exactly the set of scenarios
     :func:`~contractpricing.profile.build_profile` accepts.
     """
-    b_grid = np.asarray(b_grid, dtype=float)
-    m_grid = np.asarray(m_grid, dtype=float)
+    b_grid = _coefficients("b_grid", b_grid, "number")
+    m_grid = _coefficients("m_grid", m_grid, "number")
     for name, grid in (("b_grid", b_grid), ("m_grid", m_grid)):
         if grid.ndim != 1:
             raise ScenarioError(f"{name} must be a 1-D grid")
@@ -141,8 +139,7 @@ def _empirical_artifacts(template: ProfileScenario, b_grid: Sequence[float],
     matrix = empirical_region(template, b_grid, m_grid)
     scale = _margin_scale(template.box.quality_range, len(template.qualities))
     if not np.isfinite(scale * max(m_grid)):
-        raise ScenarioError("empirical: normalized margin "
-                            "4 * quality_range * L^2 * m is not finite")
+        raise ScenarioError("normalized margin 4 * quality_range * L^2 * m is not finite")
     return ({"b_grid": list(b_grid), "m_grid": list(m_grid),
              "achievable": matrix.tolist()},
             [(m, b, scale * m, bool(matrix[i, j]))

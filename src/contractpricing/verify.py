@@ -20,8 +20,8 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from .errors import ScenarioError
-from .functions import (REL_TOL, _inside, _sorted_distinct, check_integer,
-                        check_size, tolerance)
+from .functions import (REL_TOL, _coefficient, _coefficients, _inside,
+                        _sorted_distinct, check_integer, check_size, tolerance)
 from .serialize import null_non_finite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,7 +82,7 @@ class _Margins:
     """
 
     def __init__(self, slack: float):
-        self.slack = slack
+        self.slack = _coefficient("slack", slack)
         self.worst = math.inf
         self.violations: list[Violation] = []
 
@@ -103,10 +103,11 @@ class _Margins:
 
 def _check_shape(kind: str, solution, n: int, noun: str) -> None:
     """Reject a solution unless each of its fields, one column per entry
-    attribute, holds ``n`` entries: one per type or quality of its
-    scenario.  A shorter column would otherwise fail inside numpy."""
+    attribute, holds ``n`` numbers (NaN and infinities fail the report, not
+    this check): one per type or quality of its scenario."""
     for column in fields(solution):
-        size = len(getattr(solution, column.name))
+        values = _coefficients(f"{kind}.{column.name}", getattr(solution, column.name), "number")
+        size = len(values) if values.ndim else 0
         if size != n:
             raise ScenarioError(f"{kind}.{column.name} has {size} entries but "
                                 f"scenario declares {n} {noun}")
@@ -118,8 +119,9 @@ def _check_agent(acc: _Margins, k: int, wtp: np.ndarray, prices: np.ndarray,
     the minimum over the agent's points: ``wtp[l, i]`` is its willingness
     to pay for quality l at point i (a menu type has one point, a profile
     band its probes, named ``theta``), ``floor`` its cost plus target."""
-    savings = wtp - prices[:, None]
-    diffs = savings[k] - savings
+    with np.errstate(invalid="ignore"):  # an infinite price: a NaN margin, failed
+        savings = wtp - prices[:, None]
+        diffs = savings[k] - savings
     at = (lambda i: {}) if points is None else (lambda i: {"theta": float(points[i])})
     i, worst = int(np.argmin(savings[k])), np.argmin(diffs, axis=1).tolist()
     # Python floats from here: one conversion per value, not per lookup
@@ -412,7 +414,8 @@ def _simulate_out_of_band(profile: "DemandPriceProfile",
     if box.theta_up > cursor:
         segments.append((cursor, box.theta_up))
     lengths = np.array([hi - lo for lo, hi in segments], dtype=float)
-    total = _draw_width(float(lengths.sum()), "out-of-band") if segments else 0.0
+    with np.errstate(over="ignore"):  # an overflowing total is not finite
+        total = _draw_width(float(lengths.sum()), "out-of-band") if segments else 0.0
     if total <= 0.0:
         return None
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import contractpricing
 from contractpricing import (
@@ -26,6 +27,12 @@ from contractpricing import (
     SeparableTariff,
     TabulatedTariff,
 )
+
+#: every property test draws the same examples on every run and stores
+#: none between runs, so a tier-1 result depends on the code alone
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"

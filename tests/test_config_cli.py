@@ -645,7 +645,7 @@ class TestCliTradeoffCheck:
         assert run(["tradeoff", config, "--out", str(tmp_path / "o"),
                     "--quiet"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["message"].startswith("empirical: normalized margin")
+        assert error["message"].startswith("normalized margin")
 
     def test_check_profile_passes(self, tmp_path):
         config = write_config(tmp_path, PROFILE_CONFIG)

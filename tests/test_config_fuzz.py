@@ -167,22 +167,19 @@ def _run_on_solution(case, quiet, runner):
     _assert_declared(code, stderr)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_solution(), quiet=st.booleans())
 def test_mutated_demo_solution_ends_in_declared_outcome(case, quiet):
     _run_on_solution(case, quiet, _run_in_process)
 
 
-@settings(derandomize=True, max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=8, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_solution())
 def test_mutated_demo_solution_child_process_sample(case):
     _run_on_solution(case, True, _run_child)
 
 
-@settings(derandomize=True, max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=8, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_demo())
 def test_mutated_demo_config_child_process_sample(case):
     name, config = case
@@ -194,8 +191,7 @@ def test_mutated_demo_config_child_process_sample(case):
     _assert_declared(code, stderr)
 
 
-@settings(derandomize=True, max_examples=250, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_demo(), quiet=st.booleans())
 def test_mutated_demo_config_ends_in_declared_outcome(case, quiet):
     name, config = case

@@ -99,7 +99,7 @@ class TestScalarDerivatives:
             assert func.derivative(float(s)) == pytest.approx(fd, rel=1e-5)
 
     @given(scale=st.floats(0.1, 10.0), s=st.floats(0.05, 40.0))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_log_derivative_property(self, scale, s):
         f = LogFunction(scale)
         assert f.derivative(s) == pytest.approx(
@@ -224,7 +224,7 @@ class TestSortedDistinct:
     def test_equals_numpy_unique(self, case):
         self.assert_unique(self.CASES[case])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 1e-300, 0.25, 3.0])
                              | st.floats(allow_nan=False, allow_infinity=False),
                              max_size=40), min_size=1, max_size=4))

@@ -132,7 +132,7 @@ class TestMenuDomains:
         # a budget that outgrows the cost keeps the boundedness scan
         # doubling its probe; with no finite cap it never stopped
         cost = LinearFunction(1.0)
-        with pytest.raises(ScenarioError, match="s_search_max must be positive and finite"):
+        with pytest.raises(ScenarioError, match="^s_search_max must be finite$"):
             MenuScenario((LinearFunction(2.0),), cost,
                          ScaledFunction(cost, 0.1), s_search_max=math.inf)
 
@@ -238,7 +238,7 @@ class TestSolveMenu:
 
     @given(ratio=st.floats(1.2, 8.0), d_c=st.floats(0.3, 4.0),
            n_types=st.integers(1, 5))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_monotonicity_property(self, ratio, d_c, n_types):
         scenario = make_log_menu_scenario(d_b=ratio * d_c, d_c=d_c,
                                           n_types=n_types)

@@ -310,7 +310,7 @@ class TestBuildProfile:
 
     @given(lam=st.floats(0.0, 1.0), m_scale=st.floats(0.002, 0.012),
            b_scale=st.floats(0.02, 0.2))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_every_built_profile_verifies(self, lam, m_scale, b_scale):
         scenario = make_bilinear_profile_scenario(
             price_lambda=lam, m_scale=m_scale, b_scale=b_scale)

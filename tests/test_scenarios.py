@@ -94,7 +94,7 @@ def replaced_margins(**margins):
 NON_FINITE = {
     "qualities": (lambda: dataclasses.replace(make_bilinear_profile_scenario(),
                                               qualities=(1.0, NAN, 3.0)),
-                  "qualities must be strictly increasing"),
+                  "qualities must be finite"),
     "margins.b": (replaced_margins(b=(0.1, NAN, 0.3), m=(0.01, 0.02, 0.03)),
                   "margins.b must be finite"),
     "margins.m_nan": (replaced_margins(b=(0.1, 0.2, 0.3), m=(NAN, 0.02, 0.03)),
@@ -102,7 +102,7 @@ NON_FINITE = {
     "margins.m_inf": (replaced_margins(b=(0.1, 0.2, 0.3), m=(0.01, 0.02, INF)),
                       "margins.m must be finite"),
     "box": (lambda: DomainBox(1.0 / 3.0, INF, 1.0, 3.0),
-            "bounds must be finite"),
+            "theta_up must be finite"),
 }
 
 

@@ -345,7 +345,6 @@ class TestUniformFill:
                            match=r"^band 1: draw range width inf is not finite$"):
             simulate_market(profile, scenario, 100, 5)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_out_of_band_range_overflow_is_a_scenario_error(self):
         # a box that validation rejects, set behind its back: the two
         # out-of-band segments each span 1.7e308
