@@ -143,7 +143,7 @@ class _Result(NamedTuple):
 
 def _cmd_menu(args, config, out) -> _Result:
     menu = solve_menu(config.menu)
-    rows = [(k + 1, s, p, float(config.menu.budgets[k].value(s)), net)
+    rows = [(k + 1, s, p, config.menu.budgets[k].value(s), net)
             for k, (s, p, net) in enumerate(
                 zip(menu.qualities, menu.prices, menu.net_values))]
     return _Result(

@@ -13,8 +13,8 @@ checks the tradeoff values, and the simulator ``seed`` and
 ``samples_per_band``, when a command reads them.  Only the run-time
 knobs keep defaults here (probes 9, quad_n 256, seed 42,
 samples_per_band 1000, points 50).  Nothing reads ``probes`` and
-``quad_n``, so their floors (3, 64) are checked here; they are hashed,
-and dropping them would change the hash of every profile scenario.  The empirical
+``quad_n``: they are JSON integers with no floor, hashed because
+dropping them would change the hash of every profile scenario.  The empirical
 template of a tradeoff config takes only qualities, tariff, cost, box
 and grid_n.  The resolved dictionary, defaults filled in, has a
 canonical hash that solution files embed to detect configuration drift.
@@ -112,11 +112,9 @@ def _reject_unknown(d: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
 
 
-def _integer(value, path: str, *, minimum: Optional[int] = None) -> int:
+def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be at least {minimum}")
     return value
 
 
@@ -349,9 +347,8 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
                           "quad_n", "seed", "samples_per_band"},
                     "config")
     scenario, resolved = _parse_profile_core(raw, "", base_dir)
-    knobs = {key: _integer(raw.get(key, DEFAULTS[key]), key, minimum=lowest)
-             for key, lowest in (("probes", 3), ("quad_n", 64), ("seed", None),
-                                 ("samples_per_band", None))}
+    knobs = {key: _integer(raw.get(key, DEFAULTS[key]), key)
+             for key in ("probes", "quad_n", "seed", "samples_per_band")}
     resolved.update(knobs)
     del knobs["probes"], knobs["quad_n"]  # hashed, read by nothing
     return resolved, {"profile": scenario, **knobs}

@@ -2,12 +2,13 @@
 
 Scalar functions model costs C(s), profit targets B(s) and per-type
 budgets P_i(s); tariff functions model the bivariate willingness to pay
-F(theta, s).  Parametric families carry analytic first derivatives;
+F(theta, s) and the two partials the profile construction reads, F_s
+and F_theta.  Parametric families carry analytic first derivatives;
 tabulated families differentiate their own piecewise-linear interpolant,
 reading values and slopes through one cell lookup.  Each family names
 the points where it may bend (``knots``, ``theta_knots``), so the
-verifier can certify a whole band exactly.  The module also
-hosts the numeric checks of the regularity assumptions behind the two
+verifier can certify a whole band exactly.  The module also hosts the
+numeric checks of the regularity assumptions behind the two
 constructions (menu regularity, marginal budget increase).
 
 All objects are immutable after construction and every operation is
@@ -102,12 +103,13 @@ def check_size(name: str, value: int, lo: int, hi: int) -> None:
 def _coefficients(name: str, values, rule: str = "nonnegative",
                   ndim: Optional[int] = None) -> np.ndarray:
     """The one rule by which a caller's numbers enter the library: ``values``
-    as floats (``ndim``-D if given), each converted as ``float`` converts it,
-    then checked by ``rule``, one of "number" < "finite" < "nonnegative" < "positive"."""
+    as floats (``ndim``-D if given; a float64 array as is, anything else
+    entry by entry through :func:`_entry`), then checked by ``rule``, one
+    of "number" < "finite" < "nonnegative" < "positive"."""
     try:
         array = np.asarray(values)
         if array.dtype.char != "d":  # astype would read None as NaN
-            array = np.vectorize(float, otypes=[float])(array)
+            array = np.vectorize(_entry, otypes=[float])(array)
     except (TypeError, ValueError, OverflowError) as exc:
         kind = "finite" if isinstance(exc, OverflowError) else "numeric"
         raise ScenarioError(f"{name} must be {kind}") from None
@@ -120,6 +122,21 @@ def _coefficients(name: str, values, rule: str = "nonnegative",
         if rule != "finite" and not (lo > 0 if rule == "positive" else lo >= 0):
             raise ScenarioError(f"{name} must be {rule}")
     return array
+
+
+def _entry(x) -> float:
+    """One entry as ``float`` converts it; a bool or a string is no number."""
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        raise TypeError(x)
+    return float(x)
+
+
+def _domain(name: str, domain) -> tuple[float, float]:
+    """The one domain rule: two numbers with 0 <= lo < hi (hi may be infinite)."""
+    ends = _coefficients(name, domain, "number").ravel().tolist()
+    if len(ends) != 2 or not 0 <= ends[0] < ends[1]:
+        raise ScenarioError(f"invalid {name} [{', '.join(f'{x:g}' for x in ends)}]")
+    return tuple(ends)
 
 
 def _coefficient(name: str, value, rule: str = "nonnegative") -> float:
@@ -152,17 +169,14 @@ def _cell(grid: np.ndarray, x: np.ndarray):
 class ScalarFunction:
     """One-variable function with an evaluable value and first derivative.
 
-    Subclasses implement ``_value`` and ``_derivative`` on numpy arrays;
-    the public methods add domain checking and scalar-in/scalar-out
-    convenience.  ``domain`` is a closed interval of nonnegative reals
-    (the upper end may be infinite).
+    Subclasses implement the unchecked ``_value`` and ``_derivative``,
+    which return numpy floats that broadcast like ``s``.  The checked
+    ``value`` and ``derivative`` check ``s`` against ``domain`` (:func:`_domain`)
+    and return a Python float for a scalar ``s``, a float array otherwise.
     """
 
     def __init__(self, domain: tuple[float, float] = (0.0, math.inf)):
-        lo, hi = _coefficients("function domain", domain, "number").tolist()
-        if not 0 <= lo < hi:
-            raise ScenarioError(f"invalid function domain [{lo:g}, {hi:g}]")
-        self.domain = (lo, hi)
+        self.domain = _domain("function domain", domain)
 
     def value(self, s: ArrayLike) -> ArrayLike:
         return _evaluate(self._value, (("s", self.domain),), s)
@@ -244,10 +258,10 @@ class ScaledFunction(ScalarFunction):
         self.factor = _coefficient("scale factor", factor)
 
     def _value(self, s):
-        return self.factor * np.asarray(self.base._value(s))
+        return self.factor * self.base._value(s)
 
     def _derivative(self, s):
-        return self.factor * np.asarray(self.base._derivative(s))
+        return self.factor * self.base._derivative(s)
 
     def knots(self, lo, hi):
         return self.base.knots(lo, hi)
@@ -296,21 +310,22 @@ class TabulatedFunction(ScalarFunction):
 # ---------------------------------------------------------------------------
 
 class TariffFunction:
-    """Bivariate willingness to pay F(theta, s) with first/mixed partials.
+    """Bivariate willingness to pay F(theta, s) and its first partials.
 
-    Implementations guarantee broadcasting over numpy inputs; scalar
-    inputs produce scalar outputs.
+    The checked ``value`` and ``partials`` return Python floats for scalar
+    arguments, float arrays otherwise; the unchecked ``_value`` and
+    ``_partials`` return numpy floats that broadcast like theta and s.
     """
 
     def __init__(self, theta_domain=(0.0, math.inf), s_domain=(0.0, math.inf)):
-        self.theta_domain = tuple(_coefficients("theta_domain", theta_domain, "number").tolist())
-        self.s_domain = tuple(_coefficients("s_domain", s_domain, "number").tolist())
+        self.theta_domain = _domain("theta_domain", theta_domain)
+        self.s_domain = _domain("s_domain", s_domain)
 
     def value(self, theta: ArrayLike, s: ArrayLike) -> ArrayLike:
         return _evaluate(self._value, self._named_domains(), theta, s)
 
     def partials(self, theta: ArrayLike, s: ArrayLike):
-        """Return (F_theta, F_s, F_2) at (theta, s)."""
+        """Return (F_theta, F_s) at (theta, s)."""
         return _evaluate(self._partials, self._named_domains(), theta, s)
 
     def theta_knots(self, lo: float, hi: float) -> np.ndarray:
@@ -339,7 +354,7 @@ class BilinearTariff(TariffFunction):
 
     def _partials(self, th, sv):
         th, sv = np.broadcast_arrays(th, sv)
-        return self.d_p * sv, self.d_p * th, np.full(th.shape, self.d_p)
+        return self.d_p * sv, self.d_p * th
 
     def __repr__(self):
         return f"BilinearTariff(d_p={self.d_p:g})"
@@ -354,15 +369,12 @@ class SeparableTariff(TariffFunction):
         self.h = h
 
     def _value(self, th, sv):
-        return np.asarray(self.g._value(th)) * np.asarray(self.h._value(sv))
+        return self.g._value(th) * self.h._value(sv)
 
     def _partials(self, th, sv):
         th, sv = np.broadcast_arrays(th, sv)
-        gv = np.asarray(self.g._value(th))
-        gd = np.asarray(self.g._derivative(th))
-        hv = np.asarray(self.h._value(sv))
-        hd = np.asarray(self.h._derivative(sv))
-        return gd * hv, gv * hd, gd * hd
+        return (self.g._derivative(th) * self.h._value(sv),
+                self.g._value(th) * self.h._derivative(sv))
 
     def theta_knots(self, lo, hi):
         return self.g.knots(lo, hi)
@@ -374,7 +386,7 @@ class SeparableTariff(TariffFunction):
 class TabulatedTariff(TariffFunction):
     """Bilinear interpolation of F sampled on a rectilinear grid.
 
-    The partials are the interpolant's own: cell slopes, interpolated
+    F_theta and F_s are the interpolant's own: cell slopes, interpolated
     along the other coordinate, averaged over the cells on either side of
     an interior knot and one-sided at the grid edges.
     """
@@ -391,10 +403,8 @@ class TabulatedTariff(TariffFunction):
         self.thetas = thetas
         self.ss = ss
         self.values_grid = values
-        ds = np.diff(ss)
         self.theta_slopes = np.diff(values, axis=0) / np.diff(thetas)[:, None]
-        self.s_slopes = np.diff(values, axis=1) / ds
-        self.cross_slopes = np.diff(self.theta_slopes, axis=1) / ds
+        self.s_slopes = np.diff(values, axis=1) / np.diff(ss)
 
     def _value(self, th, sv):
         # each axis is looked up before broadcasting: a (1, B) x (n, 1)
@@ -410,14 +420,13 @@ class TabulatedTariff(TariffFunction):
         (i, wt), (j, ws) = _cell(self.thetas, th), _cell(self.ss, sv)
         # on an interior knot, il or jl is the cell on the other side
         il, jl = i - ((wt == 0) & (i > 0)), j - ((ws == 0) & (j > 0))
-        st, ss, sc = self.theta_slopes, self.s_slopes, self.cross_slopes
+        st, ss = self.theta_slopes, self.s_slopes
         # off the knots il == i and jl == j, and each mean is exact
         f_theta = 0.5 * ((1 - ws) * (st[i, j] + st[il, j])
                          + ws * (st[i, j + 1] + st[il, j + 1]))
         f_s = 0.5 * ((1 - wt) * (ss[i, j] + ss[i, jl])
                      + wt * (ss[i + 1, j] + ss[i + 1, jl]))
-        f_2 = 0.25 * ((sc[i, j] + sc[il, j]) + (sc[i, jl] + sc[il, jl]))
-        return f_theta, f_s, f_2
+        return f_theta, f_s
 
     def theta_knots(self, lo, hi):
         lo, hi = _coefficients("knots window", (lo, hi), "number", ndim=1)
@@ -594,14 +603,14 @@ def check_menu_regularity(scenario: "MenuScenario") -> ConditionReport:
     # that small feasible regions of the lowest type are not missed
     geo = np.geomspace(hi * PROBE_SCAN_START, hi, 64)
     scan = _sorted_distinct(grid, geo)
-    cb_scan = np.asarray(cost._value(scan)) + np.asarray(profit._value(scan))
-    entry_gap = np.asarray(budgets[0]._value(scan)) - cb_scan
+    cb_scan = cost._value(scan) + profit._value(scan)
+    entry_gap = budgets[0]._value(scan) - cb_scan
     k = int(np.argmax(entry_gap))
     ok = bool(entry_gap[k] >= 0.0)
     checks.append(ConditionCheck("a3.entry_exists", ok, float(entry_gap[k]),
                                  float(scan[k]) if ok else None,
                                  "max of P_1 - (C+B); witness is a feasible x_1"))
-    top_gap = cb_scan - np.asarray(budgets[-1]._value(scan))
+    top_gap = cb_scan - budgets[-1]._value(scan)
     k = int(np.argmax(top_gap))
     best_gap, best_witness = float(top_gap[k]), float(scan[k])
     if best_gap <= 0.0:
@@ -640,11 +649,11 @@ def check_marginal_budget(tariff: TariffFunction,
     check_size("grid_n", grid_n, 16, MAX_GRID_N)
     theta_grid = np.linspace(box.theta_low, box.theta_up, grid_n)
     s_grid = np.linspace(box.s_low, box.s_up, grid_n)
-    c_prime = np.asarray(cost.derivative(s_grid))
+    c_prime = cost.derivative(s_grid)
     f_s_min = np.empty(grid_n)
     at = np.empty(grid_n, dtype=int)
     for i, s in enumerate(s_grid):
-        f_s = np.asarray(tariff.partials(theta_grid, float(s))[1])
+        f_s = tariff.partials(theta_grid, s)[1]
         at[i] = np.argmin(f_s)
         f_s_min[i] = f_s[at[i]]
     margins = f_s_min - c_prime

@@ -186,8 +186,8 @@ def sensitivity_bounds(scenario: ProfileScenario, j: int) -> tuple[float, float]
                              scenario.grid_n)
     s_prev = scenario.qualities[j - 2]
     s_cur = scenario.qualities[j - 1]
-    ft_prev = np.asarray(scenario.tariff.partials(theta_grid, s_prev)[0])
-    ft_cur = np.asarray(scenario.tariff.partials(theta_grid, s_cur)[0])
+    ft_prev = scenario.tariff.partials(theta_grid, s_prev)[0]
+    ft_cur = scenario.tariff.partials(theta_grid, s_cur)[0]
     epsilon = float(np.max(ft_prev))
     delta = float(np.min(ft_cur - ft_prev))
     if delta <= 0.0:
@@ -237,8 +237,8 @@ def _conditions(scenario: ProfileScenario, b, m):
                                      scenario.grid_n)
     deltas = _increments(scenario, b, m)
     s1 = scenario.qualities[0]
-    f_entry = float(scenario.tariff.value(box.theta_low, s1))
-    cost = float(scenario.cost.value(s1))
+    f_entry = scenario.tariff.value(box.theta_low, s1)
+    cost = scenario.cost.value(s1)
     entry = f_entry - cost - b[0]
     spare = box.demand_range - (sum(deltas) + m[-1])
     return (marginal, deltas, (entry >= -tolerance(f_entry, cost, b[0]), entry),
@@ -328,8 +328,8 @@ def build_profile(scenario: ProfileScenario) -> DemandPriceProfile:
     lam = scenario.price_lambda
 
     theta_1 = box.theta_low + m[0]
-    w_lo = float(scenario.cost.value(s[0])) + b[0]
-    w_hi = float(scenario.tariff.value(box.theta_low, s[0]))
+    w_lo = scenario.cost.value(s[0]) + b[0]
+    w_hi = scenario.tariff.value(box.theta_low, s[0])
     demands = [theta_1]
     prices = [w_lo + lam * (w_hi - w_lo)]
     windows = [(w_lo, w_hi)]

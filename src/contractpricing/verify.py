@@ -189,7 +189,7 @@ def verify_profile(profile: "DemandPriceProfile", scenario: "ProfileScenario",
         probes = _band_probes(scenario.tariff, profile.demands[k], m[k])
         # every quality (rows) at every probe (columns) in one call
         bands.append(scenario.tariff.value(probes[None, :], qualities))
-        _check_agent(acc, k, bands[k], prices, float(scenario.cost.value(s[k])) + b[k],
+        _check_agent(acc, k, bands[k], prices, scenario.cost.value(s[k]) + b[k],
                      probes)
 
     for k in range(n - 1):
@@ -373,7 +373,7 @@ def simulate_market(profile: "DemandPriceProfile", scenario: "ProfileScenario",
             if k:
                 picked &= savings[:k].max(axis=0) < thr
             intended += int(np.count_nonzero(picked))
-        cost = float(scenario.cost.value(s[k]))
+        cost = scenario.cost.value(s[k])
         profit = profile.prices[k] - cost
         bands.append(BandStats(
             k=k + 1,

@@ -333,13 +333,12 @@ def broadcast_first(tariff):
         th, sv = np.broadcast_arrays(th, sv)
         (i, wt), (j, ws) = cell(tariff.thetas, th), cell(tariff.ss, sv)
         il, jl = i - ((wt == 0) & (i > 0)), j - ((ws == 0) & (j > 0))
-        st, ss, sc = tariff.theta_slopes, tariff.s_slopes, tariff.cross_slopes
+        st, ss = tariff.theta_slopes, tariff.s_slopes
         f_theta = 0.5 * ((1 - ws) * (st[i, j] + st[il, j])
                          + ws * (st[i, j + 1] + st[il, j + 1]))
         f_s = 0.5 * ((1 - wt) * (ss[i, j] + ss[i, jl])
                      + wt * (ss[i + 1, j] + ss[i + 1, jl]))
-        f_2 = 0.25 * ((sc[i, j] + sc[il, j]) + (sc[i, jl] + sc[il, jl]))
-        return f_theta, f_s, f_2
+        return f_theta, f_s
 
     return value, partials
 

@@ -102,6 +102,15 @@ class TestLoadConfig:
         assert config.resolved["quad_n"] == 256
         assert config.profile.price_lambda == 0.5
 
+    def test_unread_knobs_have_no_floor_and_are_hashed(self, tmp_path):
+        # nothing reads probes or quad_n: any JSON integer loads, and the
+        # scenario hash still tracks it
+        default = load_config(write_config(tmp_path, PROFILE_CONFIG, "a.json"))
+        low = load_config(write_config(tmp_path, dict(PROFILE_CONFIG, probes=1, quad_n=1),
+                                       "b.json"))
+        assert (low.resolved["probes"], low.resolved["quad_n"]) == (1, 1)
+        assert low.hash != default.hash
+
     def test_non_increasing_margins_rejected(self, tmp_path):
         payload = json.loads(json.dumps(PROFILE_CONFIG))
         payload["margins"]["m"] = [0.02, 0.01, 0.03]

@@ -108,27 +108,45 @@ class TestScalarDerivatives:
 
 class TestTariffPartials:
     def test_bilinear_partials(self):
-        ft, fs, f2 = BilinearTariff(3.0).partials(0.5, 2.0)
-        assert (ft, fs, f2) == (6.0, 1.5, 3.0)
+        assert BilinearTariff(3.0).partials(0.5, 2.0) == (6.0, 1.5)
 
     def test_bilinear_partials_fractional(self):
-        ft, fs, f2 = BilinearTariff(4.0).partials(1.0 / 3.0, 1.0)
+        ft, fs = BilinearTariff(4.0).partials(1.0 / 3.0, 1.0)
         assert ft == pytest.approx(4.0, abs=1e-15)
         assert fs == pytest.approx(4.0 / 3.0, abs=1e-15)
-        assert f2 == pytest.approx(4.0, abs=1e-15)
 
     def test_separable_partials(self):
         tariff = SeparableTariff(PowerFunction(1.0, 2.0), LinearFunction(1.0))
-        ft, fs, f2 = tariff.partials(1.0, 1.0)
-        assert (ft, fs, f2) == (2.0, 1.0, 2.0)
+        assert tariff.partials(1.0, 1.0) == (2.0, 1.0)
 
     def test_partials_broadcast(self):
         tariff = BilinearTariff(2.0)
         thetas = np.array([0.5, 1.0, 1.5])
-        ft, fs, f2 = tariff.partials(thetas, 2.0)
+        ft, fs = tariff.partials(thetas, 2.0)
         np.testing.assert_allclose(ft, np.full(3, 4.0))
         np.testing.assert_allclose(fs, 2.0 * thetas)
-        np.testing.assert_allclose(f2, np.full(3, 2.0))
+
+    @pytest.mark.parametrize("tariff", [
+        BilinearTariff(2.0),
+        SeparableTariff(PowerFunction(1.0, 2.0), LogFunction(1.5)),
+        TabulatedTariff([0.25, 0.5, 1.0], [0.5, 1.5, 3.0],
+                        np.outer([0.25, 0.5, 1.0], [0.5, 1.5, 3.0])),
+    ], ids=["bilinear", "separable", "tabulated"])
+    @pytest.mark.parametrize("theta, s", [
+        (0.5, 1.0),
+        (np.array([0.3, 0.6, 0.9]), 1.0),
+        (0.5, np.array([0.6, 2.0])),
+        (np.array([[0.3], [0.9]]), np.array([0.6, 1.0, 2.0])),
+    ], ids=["scalars", "theta_array", "s_array", "grid"])
+    def test_partials_are_two_broadcast_like_the_arguments(self, tariff, theta, s):
+        # (F_theta, F_s), checked and unchecked, in the arguments' broadcast shape
+        shape = np.broadcast_shapes(np.shape(theta), np.shape(s))
+        checked = tariff.partials(theta, s)
+        for parts in (checked, tariff._partials(np.asarray(theta), np.asarray(s))):
+            assert len(parts) == 2
+            assert all(np.shape(part) == shape for part in parts)
+        if not shape:
+            assert all(type(part) is float for part in checked)
 
     def test_tabulated_tariff_matches_bilinear(self):
         thetas = np.linspace(0.2, 1.2, 120)
@@ -157,10 +175,9 @@ class TestTariffPartials:
         thetas = np.linspace(0.35, 0.95, 16)
         for tariff in tariffs:
             for s in (0.8, 1.5, 2.5):
-                ft, fs, f2 = tariff.partials(thetas, s)
-                assert np.all(np.asarray(ft) > 0)
-                assert np.all(np.asarray(fs) > 0)
-                assert np.all(np.asarray(f2) > 0)
+                ft, fs = tariff.partials(thetas, s)
+                assert np.all(ft > 0)
+                assert np.all(fs > 0)
 
     def test_cross_equality_by_quadrature(self):
         # tariff increments along theta must equal the integral of F_theta

@@ -3,11 +3,11 @@
 entry point given a hostile value in place of one of its numbers returns,
 or raises a declared :class:`ContractPricingError`, never Python's or
 numpy's own error or a numpy warning (the suite turns those into errors).
+A bool or a string is no number, and a function domain is exactly two
+numbers 0 <= lo < hi.
 
 ``step_size`` is left out: it is a formula that ``empirical_region``
 broadcasts over its grids, and it takes whatever numpy arithmetic takes.
-The abstract bases ``ScalarFunction`` and ``TariffFunction`` are reached
-through their families, whose constructors pass them valid domains.
 """
 
 import dataclasses
@@ -28,10 +28,12 @@ from contractpricing import (
     MarginSpec,
     PowerFunction,
     QualityPriceMenu,
+    ScalarFunction,
     ScaledFunction,
     ScenarioError,
     TabulatedFunction,
     TabulatedTariff,
+    TariffFunction,
     build_profile,
     check_marginal_budget,
     empirical_region,
@@ -101,6 +103,9 @@ def entries():
     pw = dict(j=2, theta_prev=profile_solution.demands[0],
               p_prev=profile_solution.prices[0], theta_j=profile_solution.demands[1])
     return {
+        "ScalarFunction": entry(ScalarFunction, domain=(0.0, math.inf)),
+        "TariffFunction": entry(TariffFunction, theta_domain=(0.0, math.inf),
+                                s_domain=(0.0, math.inf)),
         "LinearFunction": entry(LinearFunction, slope=1.0),
         "LogFunction": entry(LogFunction, scale=2.2),
         "PowerFunction": entry(PowerFunction, scale=1.0, exponent=0.5),
@@ -197,8 +202,22 @@ def test_hostile_number_returns_or_is_declared(parameter, value, first_entry):
                                           (0.0, 0.0, 0.0)), make_log_menu_scenario()),
      "^menu.qualities must be numeric$"),
     (lambda: verify_menu(solved()[1], solved()[0], slack=-1.0), "^slack must be nonnegative$"),
+    (lambda: ScalarFunction(5e-324), r"^invalid function domain \[4.94066e-324\]$"),
+    (lambda: ScalarFunction((0, 1, 2)), r"^invalid function domain \[0, 1, 2\]$"),
+    (lambda: TariffFunction((0, 1, 2)), r"^invalid theta_domain \[0, 1, 2\]$"),
+    (lambda: TariffFunction((1, 0)), r"^invalid theta_domain \[1, 0\]$"),
+    (lambda: TariffFunction(s_domain=(math.nan, 1)), r"^invalid s_domain \[nan, 1\]$"),
+    (lambda: DomainBox(True, 1.0, 1.0, 3.0), "^theta_low must be numeric$"),
+    (lambda: LinearFunction(np.bool_(True)), "^linear slope must be numeric$"),
+    (lambda: LinearFunction("2"), "^linear slope must be numeric$"),
+    (lambda: LinearFunction(1.0).value(np.str_("1")), "^s must be numeric$"),
+    (lambda: homogeneous_region(b"2", 0.5, 3, 4.0), "^quality_range must be numeric$"),
+    (lambda: MarginSpec(b=("0.1", "0.2", "0.3"), m=(0.01, 0.02, 0.03)),
+     "^margins.b must be numeric$"),
 ], ids=["overflow", "none", "list", "sign", "ndim", "string", "demand", "index",
-        "column_none", "slack"])
+        "column_none", "slack", "domain_number", "domain_three", "theta_domain_three",
+        "theta_domain_empty", "s_domain_nan", "bool", "numpy_bool", "numeric_string",
+        "string_point", "bytes", "string_entries"])
 def test_rule_names_the_parameter(build, message):
     with pytest.raises(ScenarioError, match=message):
         build()

@@ -41,11 +41,6 @@ YS = A * XS ** 0.6
 RNG = np.random.default_rng(2024)
 
 
-def adjacent_cells(grid, x):
-    """Cells [grid[k], grid[k+1]] that contain ``x``: two on an interior knot."""
-    return [k for k in range(len(grid) - 1) if grid[k] <= x <= grid[k + 1]]
-
-
 def random_off_knots(grid, n):
     """``n`` uniform points inside the table, each farther than two
     difference steps from every knot (where the oracle's quotient would
@@ -146,27 +141,10 @@ class TestTabulatedTariff:
     def test_first_partials_match_difference_oracle(self, where):
         th, sv = self.points()[where]
         assert th.size == sv.size > 0
-        f_theta, f_s, _ = self.TARIFF.partials(th, sv)
+        f_theta, f_s = self.TARIFF.partials(th, sv)
         want_theta, want_s = fd_partials(self.TARIFF, th, sv)
         np.testing.assert_allclose(f_theta, want_theta, rtol=0.0, atol=self.TOL)
         np.testing.assert_allclose(f_s, want_s, rtol=0.0, atol=self.TOL)
-
-    @pytest.mark.parametrize("where", LOCATIONS)
-    def test_cross_partial_is_mean_cell_cross_slope(self, where):
-        th, sv = self.points()[where]
-        _, _, f_2 = self.TARIFF.partials(th, sv)
-        want = []
-        for t, s in zip(th, sv):
-            slopes = [(VALUES[i + 1, j + 1] - VALUES[i + 1, j]
-                       - VALUES[i, j + 1] + VALUES[i, j])
-                      / ((THETAS[i + 1] - THETAS[i]) * (SS[j + 1] - SS[j]))
-                      for i in adjacent_cells(THETAS, t)
-                      for j in adjacent_cells(SS, s)]
-            want.append(sum(slopes) / len(slopes))
-        # four rounded table entries over the smallest cell area
-        tol = 16.0 * EPS * np.max(np.abs(VALUES)) / (
-            np.min(np.diff(THETAS)) * np.min(np.diff(SS)))
-        np.testing.assert_allclose(f_2, want, rtol=0.0, atol=tol)
 
     def shapes(self):
         """(theta, s) arguments of every shape the callers pass: on knots,
@@ -197,8 +175,8 @@ class TestTabulatedTariff:
             np.testing.assert_array_equal(g, w)
 
     def test_scalar_and_broadcast_shapes(self):
-        ft, fs, f2 = self.TARIFF.partials(1.0, 1.5)
-        assert all(isinstance(x, float) for x in (ft, fs, f2))
+        ft, fs = self.TARIFF.partials(1.0, 1.5)
+        assert all(isinstance(x, float) for x in (ft, fs))
         thetas = np.linspace(THETAS[0], THETAS[-1], 7)
         for part in self.TARIFF.partials(thetas, 1.5):
             assert np.shape(part) == (7,)
