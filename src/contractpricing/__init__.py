@@ -57,7 +57,6 @@ from .profile import (
     check_achievability,
     price_window,
     sensitivity_bounds,
-    step_size,
     step_sizes,
 )
 from .tradeoff import TradeoffCurve, empirical_region, homogeneous_region
@@ -130,7 +129,6 @@ __all__ = [
     "sensitivity_bounds",
     "simulate_market",
     "solve_menu",
-    "step_size",
     "step_sizes",
     "verify_menu",
     "verify_profile",

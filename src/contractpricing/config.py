@@ -2,25 +2,26 @@
 
 Configs are JSON documents with a ``mode`` of ``menu``, ``profile`` or
 ``tradeoff``.  This module only parses: it rejects unknown keys, wrong
-JSON types, non-finite numbers and nesting deeper than ``MAX_NESTING``,
-reads the referenced CSV files and names the field path in every error.
-The code that reads a value checks it by the library's one number rule
-(``functions._coefficient``).  Function, box and scenario constructors
+container types and nesting deeper than ``MAX_NESTING``, reads the
+referenced CSV files and names the field path in every error.  It
+converts no number: each value goes as read to the library call that
+reads it, which checks it by the one number rule
+(``functions._coefficients``).  Function, box and scenario constructors
 run at load, with the field path in front of their messages (``cost:
-linear slope must be nonnegative``); the scenarios own their defaults (price_lambda 0.5,
-grid_n 512, s_search_max 1e6, s_probe_max 100).  :mod:`.tradeoff`
-checks the tradeoff values, and the simulator ``seed`` and
-``samples_per_band``, when a command reads them.  Only the run-time
-knobs keep defaults here (probes 9, quad_n 256, seed 42,
+linear slope must be finite``); the scenarios own their defaults
+(price_lambda 0.5, grid_n 512, s_search_max 1e6, s_probe_max 100).
+:mod:`.tradeoff` checks the tradeoff values and grids, and the simulator
+``seed`` and ``samples_per_band``, when a command reads them.  Only the
+run-time knobs keep defaults here (probes 9, quad_n 256, seed 42,
 samples_per_band 1000, points 50).  Nothing reads ``probes`` and
-``quad_n``: they are JSON integers with no floor, hashed because
-dropping them would change the hash of every profile scenario.  The empirical
-template of a tradeoff config takes only qualities, tariff, cost, box
-and grid_n.  The resolved dictionary, defaults filled in, has a
-canonical hash that solution files embed to detect configuration drift.
-:func:`load_solution` checks a solution file's mode and hash; the
-solution class's ``from_dict`` parses its body with the same field-path
-helpers (:mod:`.fields`), and the verifier checks its counts.
+``quad_n``: integers with no floor, checked here and hashed, because
+dropping them would change the hash of every profile scenario.  The
+empirical template of a tradeoff config takes only qualities, tariff,
+cost, box and grid_n.  The resolved dictionary, defaults filled in and
+built values read back as built, has a canonical hash that solution
+files embed to detect configuration drift.  :func:`load_solution`
+checks a solution file's mode and hash; the solution class's
+``from_dict`` parses its body, and the verifier checks its counts.
 
 Function declarations::
 
@@ -48,7 +49,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ScenarioError
-from .fields import expect_dict, number, number_list, require
+from .fields import expect_dict, require
 from .functions import (
     BilinearTariff,
     DomainBox,
@@ -61,6 +62,8 @@ from .functions import (
     TabulatedFunction,
     TabulatedTariff,
     TariffFunction,
+    _coefficients,
+    check_integer,
 )
 from .menu import MenuScenario, QualityPriceMenu
 from .profile import DemandPriceProfile, MarginSpec, ProfileScenario
@@ -112,17 +115,10 @@ def _reject_unknown(d: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return value
-
-
-def _given(raw: dict, path_prefix: str, parsers: dict) -> dict:
-    """Parse the optional keys present in ``raw``; the dataclass they are
-    passed to supplies the defaults of the absent ones."""
-    return {key: parse(raw[key], f"{path_prefix}{key}")
-            for key, parse in parsers.items() if key in raw}
+def _given(raw: dict, *keys: str) -> dict:
+    """The optional ``keys`` present in ``raw``, as read; the dataclass they
+    are passed to supplies the defaults of the absent ones."""
+    return {key: raw[key] for key in keys if key in raw}
 
 
 def _validated(prefix: str, build, *args, **kwargs):
@@ -143,9 +139,10 @@ def _family(decl: dict, path: str, families: tuple) -> str:
 def _closed_form(decl: dict, family: str, path: str):
     ctor, names = _CLOSED_FORMS[family]
     _reject_unknown(decl, {"family", *names}, path)
-    args = {name: number(require(decl, name, path), f"{path}.{name}")
-            for name in names}
-    return _validated(f"{path}: ", ctor, **args), {"family": family, **args}
+    func = _validated(f"{path}: ", ctor,
+                      **{name: require(decl, name, path) for name in names})
+    # each parameter is hashed as built: the attribute bears the key's name
+    return func, {"family": family, **{name: getattr(func, name) for name in names}}
 
 
 def _csv_source(decl: dict, path: str, base_dir: Path,
@@ -186,9 +183,9 @@ def parse_scalar_function(decl, path: str, base_dir: Path
         _reject_unknown(decl, {"family", "base", "factor"}, path)
         base, base_resolved = parse_scalar_function(
             require(decl, "base", path), f"{path}.base", base_dir)
-        factor = number(require(decl, "factor", path), f"{path}.factor")
-        return (_validated(f"{path}: ", ScaledFunction, base, factor),
-                {"family": "scaled", "base": base_resolved, "factor": factor})
+        func = _validated(f"{path}: ", ScaledFunction, base,
+                          require(decl, "factor", path))
+        return func, {"family": "scaled", "base": base_resolved, "factor": func.factor}
     data, resolved = _csv_source(
         decl, path, base_dir, lambda f: np.loadtxt(f, delimiter=",", ndmin=2))
     if data.shape[1] != 2:
@@ -223,6 +220,8 @@ def parse_tariff_function(decl, path: str, base_dir: Path
 
 @dataclass
 class TradeoffParams:
+    """A tradeoff config's values as read, for the tradeoff calls to check."""
+
     quality_range: float
     demand_range: float
     n_types: int
@@ -256,20 +255,18 @@ class ScenarioConfig:
 
 
 def _parse_box(raw, path: str) -> tuple[DomainBox, dict]:
-    box = expect_dict(raw, path)
-    _reject_unknown(box, {"theta_low", "theta_up", "s_low", "s_up"}, path)
-    values = {key: number(require(box, key, path), f"{path}.{key}")
-              for key in ("theta_low", "theta_up", "s_low", "s_up")}
-    return _validated(f"{path}: ", DomainBox, **values), values
+    keys = ("theta_low", "theta_up", "s_low", "s_up")
+    raw = expect_dict(raw, path)
+    _reject_unknown(raw, set(keys), path)
+    box = _validated(f"{path}: ", DomainBox, **{key: require(raw, key, path) for key in keys})
+    return box, {key: getattr(box, key) for key in keys}
 
 
-def _parse_margins(raw, path_prefix: str) -> tuple[MarginSpec, dict]:
+def _parse_margins(raw, path_prefix: str) -> MarginSpec:
     path = f"{path_prefix}margins"
     margins = expect_dict(raw, path)
     _reject_unknown(margins, {"b", "m"}, path)
-    resolved = {key: number_list(require(margins, key, path), f"{path}.{key}")
-                for key in ("b", "m")}
-    return MarginSpec(**resolved), resolved
+    return MarginSpec(**{key: require(margins, key, path) for key in ("b", "m")})
 
 
 def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
@@ -287,9 +284,8 @@ def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
                                            "cost", base_dir)
     profit, profit_res = parse_scalar_function(require(raw, "profit", "config"),
                                                "profit", base_dir)
-    scenario = MenuScenario(tuple(budgets), cost, profit, **_given(
-        raw, "", {"s_search_max": number, "s_probe_max": number,
-                  "grid_n": _integer}))
+    scenario = MenuScenario(tuple(budgets), cost, profit,
+                            **_given(raw, "s_search_max", "s_probe_max", "grid_n"))
     return {
         "mode": "menu",
         "budgets": budgets_res,
@@ -304,8 +300,7 @@ def _parse_menu(raw: dict, base_dir: Path) -> tuple[dict, dict]:
 def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
                         require_margins: bool = True
                         ) -> tuple[ProfileScenario, dict]:
-    qualities = number_list(require(raw, "qualities", path_prefix or "config"),
-                             f"{path_prefix}qualities")
+    qualities = require(raw, "qualities", path_prefix or "config")
     tariff, tariff_res = parse_tariff_function(
         require(raw, "tariff", path_prefix or "config"),
         f"{path_prefix}tariff", base_dir)
@@ -315,26 +310,24 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
     box, box_res = _parse_box(require(raw, "box", path_prefix or "config"),
                               f"{path_prefix}box")
     if require_margins:
-        margins, margins_res = _parse_margins(
+        margins = _parse_margins(
             require(raw, "margins", path_prefix or "config"), path_prefix)
     else:
         # placeholder margins for templates whose margins the tradeoff
-        # grid supplies
-        margins = MarginSpec(b=tuple(0.1 * s for s in qualities),
-                             m=tuple(0.01 * s for s in qualities))
-        margins_res = {"b": list(margins.b), "m": list(margins.m)}
+        # grid supplies, made from the qualities as the scenario reads them
+        s = _validated(path_prefix, _coefficients, "qualities", qualities, "positive", 1)
+        margins = MarginSpec(b=(0.1 * s).tolist(), m=(0.01 * s).tolist())
     # the scenario owns its rules; its errors already name the field
-    scenario = _validated(path_prefix, ProfileScenario, tuple(qualities),
+    scenario = _validated(path_prefix, ProfileScenario, qualities,
                           tariff, cost, box, margins,
-                          **_given(raw, path_prefix, {"price_lambda": number,
-                                                      "grid_n": _integer}))
+                          **_given(raw, "price_lambda", "grid_n"))
     resolved = {
         "mode": "profile",
-        "qualities": qualities,
+        "qualities": list(scenario.qualities),
         "tariff": tariff_res,
         "cost": cost_res,
         "box": box_res,
-        "margins": margins_res,
+        "margins": {"b": list(scenario.margins.b), "m": list(scenario.margins.m)},
         "price_lambda": scenario.price_lambda,
         "grid_n": scenario.grid_n,
     }
@@ -347,48 +340,38 @@ def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
                           "quad_n", "seed", "samples_per_band"},
                     "config")
     scenario, resolved = _parse_profile_core(raw, "", base_dir)
-    knobs = {key: _integer(raw.get(key, DEFAULTS[key]), key)
+    knobs = {key: raw.get(key, DEFAULTS[key])
              for key in ("probes", "quad_n", "seed", "samples_per_band")}
     resolved.update(knobs)
-    del knobs["probes"], knobs["quad_n"]  # hashed, read by nothing
+    for key in ("probes", "quad_n"):  # hashed, read by nothing: checked here
+        check_integer(key, knobs.pop(key))
     return resolved, {"profile": scenario, **knobs}
 
 
 def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "delta_s", "delta_theta", "types", "d_p",
                           "points", "empirical"}, "config")
-    quality_range = number(require(raw, "delta_s", "config"), "delta_s")
-    demand_range = number(require(raw, "delta_theta", "config"), "delta_theta")
-    n_types = _integer(require(raw, "types", "config"), "types")
-    d_p = number(require(raw, "d_p", "config"), "d_p")
-    points = _integer(raw.get("points", DEFAULTS["points"]), "points")
-    resolved = {
-        "mode": "tradeoff",
-        "delta_s": quality_range,
-        "delta_theta": demand_range,
-        "types": n_types,
-        "d_p": d_p,
-        "points": points,
-    }
+    resolved = {"mode": "tradeoff", "points": raw.get("points", DEFAULTS["points"]),
+                **{key: require(raw, key, "config")
+                   for key in ("delta_s", "delta_theta", "types", "d_p")}}
     empirical = None
     if "empirical" in raw:
         emp = expect_dict(raw["empirical"], "empirical")
         _reject_unknown(emp, {"b_grid", "m_grid", "scenario"}, "empirical")
-        b_grid = number_list(require(emp, "b_grid", "empirical"),
-                             "empirical.b_grid")
-        m_grid = number_list(require(emp, "m_grid", "empirical"),
-                             "empirical.m_grid")
+        b_grid = require(emp, "b_grid", "empirical")
+        m_grid = require(emp, "m_grid", "empirical")
         scn_raw = expect_dict(require(emp, "scenario", "empirical"),
                                "empirical.scenario")
         _reject_unknown(scn_raw, {"qualities", "tariff", "cost", "box",
                                   "grid_n"}, "empirical.scenario")
         template, template_res = _parse_profile_core(
             scn_raw, "empirical.scenario.", base_dir, require_margins=False)
-        empirical = EmpiricalGrid(template, tuple(b_grid), tuple(m_grid))
+        empirical = EmpiricalGrid(template, b_grid, m_grid)
         resolved["empirical"] = {"b_grid": b_grid, "m_grid": m_grid,
                                  "scenario": template_res}
     return resolved, {"tradeoff": TradeoffParams(
-        quality_range, demand_range, n_types, d_p, points, empirical)}
+        resolved["delta_s"], resolved["delta_theta"], resolved["types"],
+        resolved["d_p"], resolved["points"], empirical)}
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:

@@ -1,14 +1,16 @@
 """Field-path readers of parsed JSON documents.
 
 Shared by the config parser and the readers of stored solutions: each
-helper checks one JSON value's type and finiteness, not its range, and
-raises :class:`ConfigError` naming its field path, as in
-``entries[2].p: must be finite``.
+helper checks that a JSON value is an object, holds a key or is a
+nonempty list of objects, and raises :class:`ConfigError` naming its
+field path, as in ``entries[2]: expected an object``.  They convert no
+number: the library's number rule (``functions._coefficients``) does,
+with the field path as the parameter's name.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Iterator
 
 from .errors import ConfigError
 
@@ -25,24 +27,6 @@ def require(d: dict, key: str, path: str):
     return d[key]
 
 
-def number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: must be finite") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    return value
-
-
-def number_list(value, path: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return [number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
 def entry_list(data, key: str = "entries") -> list[tuple[str, dict]]:
     """The objects of the list ``data[key]``, each with its field path."""
     entries = require(expect_dict(data, "solution"), key, "solution")
@@ -52,7 +36,7 @@ def entry_list(data, key: str = "entries") -> list[tuple[str, dict]]:
             for i, e in enumerate(entries)]
 
 
-def number_column(entries: list[tuple[str, dict]], key: str) -> tuple[float, ...]:
-    """The finite number under ``key`` of every entry of :func:`entry_list`."""
-    return tuple(number(require(e, key, path), f"{path}.{key}")
-                 for path, e in entries)
+def column(entries: list[tuple[str, dict]], key: str) -> Iterator[tuple[str, object]]:
+    """The field path and value, as read, under ``key`` of each entry of
+    :func:`entry_list` in turn."""
+    return ((f"{path}.{key}", require(e, key, path)) for path, e in entries)

@@ -103,25 +103,41 @@ def check_size(name: str, value: int, lo: int, hi: int) -> None:
 def _coefficients(name: str, values, rule: str = "nonnegative",
                   ndim: Optional[int] = None) -> np.ndarray:
     """The one rule by which a caller's numbers enter the library: ``values``
-    as floats (``ndim``-D if given; a float64 array as is, anything else
-    entry by entry through :func:`_entry`), then checked by ``rule``, one
-    of "number" < "finite" < "nonnegative" < "positive"."""
+    as floats (``ndim``-D if given), then checked by ``rule``, one of
+    "number" < "finite" < "nonnegative" < "positive".  Every entry goes
+    through :func:`_entry`: a list or tuple's before numpy would promote a
+    bool among them to 1.0 (:func:`_entries`), and a flat one is then
+    checked in Python; a float64 array passes as is."""
+    flat = None
     try:
-        array = np.asarray(values)
-        if array.dtype.char != "d":  # astype would read None as NaN
-            array = np.vectorize(_entry, otypes=[float])(array)
-    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(values, (list, tuple)):
+            flat = _entries(values)
+            array = np.array(flat, dtype=float)
+        else:
+            array = np.asarray(values)
+            if array.dtype.char != "d":  # astype would read None as NaN
+                array = np.vectorize(_entry, otypes=[float])(array)
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         kind = "finite" if isinstance(exc, OverflowError) else "numeric"
         raise ScenarioError(f"{name} must be {kind}") from None
     if ndim is not None and array.ndim != ndim:
         raise ScenarioError(f"{name} must be " + ("a number" if ndim == 0 else f"{ndim}-D"))
-    if rule != "number" and array.size:  # on Python floats: one number costs no ufunc
-        lo, hi = (float(array.min()), float(array.max())) if array.ndim else (float(array),) * 2
-        if not -math.inf < lo <= hi < math.inf:
+    if rule != "number" and array.size:
+        if flat is None or array.ndim != 1:  # one number costs no ufunc, an array two
+            flat = (array.min(), array.max()) if array.ndim else (float(array),)
+        if not all(map(math.isfinite, flat)):
             raise ScenarioError(f"{name} must be finite")
+        lo = min(flat)
         if rule != "finite" and not (lo > 0 if rule == "positive" else lo >= 0):
             raise ScenarioError(f"{name} must be {rule}")
     return array
+
+
+def _entries(values) -> list:
+    """A list or tuple's entries, nested as given (an array entry as a
+    sequence), each through :func:`_entry`."""
+    return [_entries(x) if isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) else _entry(x)
+            for x in values]
 
 
 def _entry(x) -> float:
@@ -131,8 +147,14 @@ def _entry(x) -> float:
     return float(x)
 
 
+#: the bases' default domain [0, inf), which passes :func:`_domain` as is
+_UNBOUNDED = (0.0, math.inf)
+
+
 def _domain(name: str, domain) -> tuple[float, float]:
     """The one domain rule: two numbers with 0 <= lo < hi (hi may be infinite)."""
+    if domain is _UNBOUNDED:  # converted once, not by every family
+        return domain
     ends = _coefficients(name, domain, "number").ravel().tolist()
     if len(ends) != 2 or not 0 <= ends[0] < ends[1]:
         raise ScenarioError(f"invalid {name} [{', '.join(f'{x:g}' for x in ends)}]")
@@ -175,7 +197,7 @@ class ScalarFunction:
     and return a Python float for a scalar ``s``, a float array otherwise.
     """
 
-    def __init__(self, domain: tuple[float, float] = (0.0, math.inf)):
+    def __init__(self, domain: tuple[float, float] = _UNBOUNDED):
         self.domain = _domain("function domain", domain)
 
     def value(self, s: ArrayLike) -> ArrayLike:
@@ -317,7 +339,7 @@ class TariffFunction:
     ``_partials`` return numpy floats that broadcast like theta and s.
     """
 
-    def __init__(self, theta_domain=(0.0, math.inf), s_domain=(0.0, math.inf)):
+    def __init__(self, theta_domain=_UNBOUNDED, s_domain=_UNBOUNDED):
         self.theta_domain = _domain("theta_domain", theta_domain)
         self.s_domain = _domain("s_domain", s_domain)
 
@@ -372,7 +394,7 @@ class SeparableTariff(TariffFunction):
         return self.g._value(th) * self.h._value(sv)
 
     def _partials(self, th, sv):
-        th, sv = np.broadcast_arrays(th, sv)
+        # each product broadcasts by itself: g and h run on their own argument
         return (self.g._derivative(th) * self.h._value(sv),
                 self.g._value(th) * self.h._derivative(sv))
 

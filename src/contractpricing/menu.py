@@ -36,7 +36,7 @@ from .errors import (
     ScenarioError,
     UnboundedFeasibleSetError,
 )
-from .fields import entry_list, number_column
+from .fields import column, entry_list
 from .functions import (DEFAULT_GRID_N, MAX_GRID_N, PROBE_SCAN_START, ScalarFunction,
                         _coefficient, _inside, check_integer, check_menu_regularity,
                         check_size, tolerance)
@@ -157,10 +157,13 @@ class QualityPriceMenu:
 
     @classmethod
     def from_dict(cls, data) -> "QualityPriceMenu":
-        """Parse :meth:`to_dict` output; :class:`ConfigError` names the
-        first field that is missing or not a finite number."""
+        """Parse :meth:`to_dict` output; the error names the first field
+        that is missing (:class:`ConfigError`) or not a finite number
+        (:class:`ScenarioError`)."""
         entries = entry_list(data)
-        return cls(*(number_column(entries, key) for key in ("s", "p", "net")))
+        return cls(*(tuple(_coefficient(path, value, "finite")
+                           for path, value in column(entries, key))
+                     for key in ("s", "p", "net")))
 
 
 def feasible_interval(i: int, scenario: MenuScenario) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from .errors import (
     NotAchievableError,
     ScenarioError,
 )
-from .fields import entry_list, number_column, number_list, require
+from .fields import column, entry_list, require
 from .functions import (
     DEFAULT_GRID_N,
     MAX_GRID_N,
@@ -156,20 +156,22 @@ class DemandPriceProfile:
 
     @classmethod
     def from_dict(cls, data) -> "DemandPriceProfile":
-        """Parse :meth:`to_dict` output; :class:`ConfigError` names the
-        first field that is missing, not a finite number or a window that
-        is not two numbers.  The verifier checks the column lengths."""
+        """Parse :meth:`to_dict` output; the error names the first field
+        that is missing or a window that is not two numbers
+        (:class:`ConfigError`), or a field that is not a finite number
+        (:class:`ScenarioError`).  The verifier checks the column lengths."""
         entries = entry_list(data)
         windows = []
-        for path, e in entries:
-            window = number_list(require(e, "window", path), f"{path}.window")
+        for path, window in column(entries, "window"):
+            window = tuple(_coefficients(path, window, "finite", ndim=1).tolist())
             if len(window) != 2:
-                raise ConfigError(f"{path}.window: expected two numbers")
-            windows.append(tuple(window))
-        deltas = number_list(require(data, "deltas", "solution"), "deltas")
-        return cls(demands=number_column(entries, "theta"),
-                   prices=number_column(entries, "p"),
-                   windows=tuple(windows), step_sizes=tuple(deltas))
+                raise ConfigError(f"{path}: expected two numbers")
+            windows.append(window)
+        deltas = _coefficients("deltas", require(data, "deltas", "solution"), "finite", ndim=1)
+        demands, prices = (tuple(_coefficient(path, value, "finite")
+                                 for path, value in column(entries, key))
+                           for key in ("theta", "p"))
+        return cls(demands, prices, tuple(windows), tuple(deltas.tolist()))
 
 
 def sensitivity_bounds(scenario: ProfileScenario, j: int) -> tuple[float, float]:
@@ -197,22 +199,22 @@ def sensitivity_bounds(scenario: ProfileScenario, j: int) -> tuple[float, float]
     return epsilon, delta
 
 
-def step_size(m_cur: float, m_prev: float, epsilon: float, delta: float,
-              premium: float) -> float:
+def _step_size(m_cur: float, m_prev: float, epsilon: float, delta: float,
+               premium: float) -> float:
     """Nominal-demand increment guaranteeing a nonempty price window."""
     return (m_cur + m_prev) * (1.0 + 2.0 * epsilon / delta) + premium / delta
 
 
 def _increments(scenario: ProfileScenario, b, m) -> tuple:
-    """Delta_1 = m_1 followed by one :func:`step_size` per step 2..L, each
+    """Delta_1 = m_1 followed by one :func:`_step_size` per step 2..L, each
     with the profit increment ``b[j-1] - b[j-2]`` as its premium.
 
     ``b`` and ``m`` may hold floats or numpy arrays that broadcast
     together.
     """
     return (m[0],) + tuple(
-        step_size(m[j - 1], m[j - 2], *sensitivity_bounds(scenario, j),
-                  b[j - 1] - b[j - 2])
+        _step_size(m[j - 1], m[j - 2], *sensitivity_bounds(scenario, j),
+                   b[j - 1] - b[j - 2])
         for j in range(2, scenario.n_qualities + 1))
 
 

@@ -136,11 +136,13 @@ def _empirical_artifacts(template: ProfileScenario, b_grid: Sequence[float],
     """The grids and matrix of :func:`empirical_region` as a JSON block,
     and its cells, b-major, as rows like :meth:`TradeoffCurve.csv_rows`,
     whose normalized margins must be finite."""
+    b_grid, m_grid = (_coefficients(name, grid, "number")
+                      for name, grid in (("b_grid", b_grid), ("m_grid", m_grid)))
     matrix = empirical_region(template, b_grid, m_grid)
+    b_grid, m_grid = b_grid.tolist(), m_grid.tolist()
     scale = _margin_scale(template.box.quality_range, len(template.qualities))
     if not np.isfinite(scale * max(m_grid)):
         raise ScenarioError("normalized margin 4 * quality_range * L^2 * m is not finite")
-    return ({"b_grid": list(b_grid), "m_grid": list(m_grid),
-             "achievable": matrix.tolist()},
+    return ({"b_grid": b_grid, "m_grid": m_grid, "achievable": matrix.tolist()},
             [(m, b, scale * m, bool(matrix[i, j]))
              for i, b in enumerate(b_grid) for j, m in enumerate(m_grid)])

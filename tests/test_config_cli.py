@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contractpricing import ConfigError, load_config
+from contractpricing import ConfigError, ScenarioError, load_config
 from contractpricing.cli import run
 from conftest import BENCH, DIP_THETA, ROOT, child_env, dip_tariff, run_cli
 
@@ -133,7 +133,7 @@ class TestLoadConfig:
     def test_huge_integer_literal_names_field(self, tmp_path):
         payload = json.loads(json.dumps(PROFILE_CONFIG))
         payload["cost"]["slope"] = 10 ** 400
-        with pytest.raises(ConfigError, match="cost.slope: must be finite"):
+        with pytest.raises(ScenarioError, match="^cost: linear slope must be finite$"):
             load_config(write_config(tmp_path, payload))
 
     def test_unknown_family_names_field(self, tmp_path):
@@ -225,6 +225,31 @@ class TestLoadConfig:
     @pytest.mark.parametrize("name", sorted(DEMO_HASHES))
     def test_demo_scenario_hash_pinned(self, name):
         assert load_config(DEMOS / name).hash == DEMO_HASHES[name]
+
+    #: the keys each demo config leaves to its defaults, at those defaults
+    DEMO_DEFAULTS = {
+        "menu_log_budget.json": {"s_search_max": 1e6, "s_probe_max": 100.0,
+                                 "grid_n": 512},
+        "profile_bilinear.json": {"grid_n": 512, "probes": 9, "quad_n": 256},
+        "profile_separable.json": {"price_lambda": 0.5, "grid_n": 512, "probes": 9,
+                                   "quad_n": 256, "seed": 42, "samples_per_band": 1000},
+        "tradeoff_homogeneous.json": {},
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEMO_HASHES))
+    def test_demo_hash_holds_for_int_literals_and_stated_defaults(self, tmp_path, name):
+        # the hash holds each value as the library reads it, not as written
+        def as_ints(node):
+            if isinstance(node, dict):
+                return {key: as_ints(item) for key, item in node.items()}
+            if isinstance(node, list):
+                return [as_ints(item) for item in node]
+            return int(node) if isinstance(node, float) and node.is_integer() else node
+
+        payload = json.loads((DEMOS / name).read_text())
+        restated = as_ints(dict(payload, **self.DEMO_DEFAULTS[name]))
+        assert json.dumps(restated) != json.dumps(payload)
+        assert load_config(write_config(tmp_path, restated, name)).hash == DEMO_HASHES[name]
 
 
 class TestRuleOwners:
@@ -689,8 +714,8 @@ class TestCliPlumbing:
         config = write_config(tmp_path, payload)
         assert run(["check", config, "--quiet"]) == 2
         parsed = json.loads(capsys.readouterr().err)
-        assert parsed["error"]["type"] == "ConfigError"
-        assert "cost.slope" in parsed["error"]["message"]
+        assert parsed["error"]["type"] == "ScenarioError"
+        assert parsed["error"]["message"] == "cost: linear slope must be finite"
 
     @pytest.mark.parametrize("command, payload, accepted", [
         ("menu", PROFILE_CONFIG, "menu"),
@@ -968,6 +993,39 @@ def nested_cost_config(tmp_path, levels):
     return str(path)
 
 
+class TestBoolIsNoNumber:
+    """A bool among the numbers of a config or stored solution list exits
+    2 naming the list, though numpy would read it as 1.0; each case puts
+    it where 1.0 would load."""
+
+    @pytest.mark.parametrize("name, dotted, command", [
+        ("profile_bilinear.json", "qualities.0", "check"),
+        ("profile_bilinear.json", "margins.b.2", "check"),
+        ("profile_bilinear.json", "margins.m.2", "check"),
+        ("tradeoff_homogeneous.json", "empirical.scenario.qualities.0", "tradeoff"),
+        ("tradeoff_homogeneous.json", "empirical.b_grid.4", "tradeoff"),
+        ("tradeoff_homogeneous.json", "empirical.m_grid.3", "tradeoff"),
+    ])
+    def test_config_list_entry(self, tmp_path, capsys, name, dotted, command):
+        payload = json.loads((DEMOS / name).read_text())
+        config = write_config(tmp_path, edited(payload, {dotted: True}), name)
+        assert run([command, config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        key = dotted.rsplit(".", 1)[0].rsplit(".", 1)[-1]
+        assert key in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize("dotted", ["entries.0.window.1", "deltas.2"])
+    def test_solution_list_entry(self, tmp_path, capsys, dotted):
+        config = str(DEMOS / "profile_bilinear.json")
+        assert run(["profile", config, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+        stored = json.loads((tmp_path / "s" / "profile.json").read_text())
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(edited(stored, {dotted: True})))
+        assert run(["verify", config, str(solution), "--out", str(tmp_path / "o"),
+                    "--quiet"]) == 2
+        key = dotted.split(".")[-2 if dotted.startswith("entries") else 0]
+        assert key in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 class TestCliErrorContract:
     """Every error exit leaves exactly one JSON object on stderr."""
 
@@ -1056,12 +1114,12 @@ class TestCliErrorContract:
     @pytest.mark.parametrize("command, edit, kind, message", [
         ("verify", lambda d: d.pop("entries"), "ConfigError",
          "solution.entries: missing required field"),
-        ("verify", lambda d: d["entries"][0].update(p="x"), "ConfigError",
-         "entries[0].p: expected a number"),
-        ("verify", lambda d: d["entries"][1].update(p=math.nan), "ConfigError",
-         "entries[1].p: must be finite"),
+        ("verify", lambda d: d["entries"][0].update(p="x"), "ScenarioError",
+         "entries[0].p must be numeric"),
+        ("verify", lambda d: d["entries"][1].update(p=math.nan), "ScenarioError",
+         "entries[1].p must be finite"),
         ("simulate", lambda d: d["entries"][0].update(theta=math.inf),
-         "ConfigError", "entries[0].theta: must be finite"),
+         "ScenarioError", "entries[0].theta must be finite"),
         # counts are the rule of the verifier or simulator that reads
         # the solution, not of the file reader
         ("verify", lambda d: (d["entries"].pop(), d["deltas"].pop()),

@@ -6,8 +6,8 @@ numpy's own error or a numpy warning (the suite turns those into errors).
 A bool or a string is no number, and a function domain is exactly two
 numbers 0 <= lo < hi.
 
-``step_size`` is left out: it is a formula that ``empirical_region``
-broadcasts over its grids, and it takes whatever numpy arithmetic takes.
+A list or tuple's entries meet the rule before numpy sees them, so a
+bool among floats is no number either.
 """
 
 import dataclasses
@@ -214,10 +214,13 @@ def test_hostile_number_returns_or_is_declared(parameter, value, first_entry):
     (lambda: homogeneous_region(b"2", 0.5, 3, 4.0), "^quality_range must be numeric$"),
     (lambda: MarginSpec(b=("0.1", "0.2", "0.3"), m=(0.01, 0.02, 0.03)),
      "^margins.b must be numeric$"),
+    (lambda: MarginSpec(b=(True, 0.2, 0.3), m=(0.01, 0.02, 0.03)),
+     "^margins.b must be numeric$"),
+    (lambda: LinearFunction(1.0).value([True, 2.0]), "^s must be numeric$"),
 ], ids=["overflow", "none", "list", "sign", "ndim", "string", "demand", "index",
         "column_none", "slack", "domain_number", "domain_three", "theta_domain_three",
         "theta_domain_empty", "s_domain_nan", "bool", "numpy_bool", "numeric_string",
-        "string_point", "bytes", "string_entries"])
+        "string_point", "bytes", "string_entries", "bool_entry", "bool_point_entry"])
 def test_rule_names_the_parameter(build, message):
     with pytest.raises(ScenarioError, match=message):
         build()

@@ -24,10 +24,10 @@ from contractpricing import (
     check_achievability,
     price_window,
     sensitivity_bounds,
-    step_size,
     step_sizes,
     verify_profile,
 )
+from contractpricing.profile import _step_size
 from conftest import (
     WORKED_A2,
     WORKED_DELTAS,
@@ -96,7 +96,7 @@ class TestStepSizes:
 
     def test_zero_margin_limit(self):
         # with all margins and premiums zero the step formula collapses to zero
-        assert step_size(0.0, 0.0, 5.0, 2.0, 0.0) == 0.0
+        assert _step_size(0.0, 0.0, 5.0, 2.0, 0.0) == 0.0
 
     def test_scale_equivariance_in_profit(self):
         # scaling b (hence the premiums) by c shifts each Delta_j by
@@ -104,8 +104,8 @@ class TestStepSizes:
         base = make_bilinear_profile_scenario(b_scale=0.1)
         base_deltas = step_sizes(base)
         satisfaction_part = [
-            step_size(base.margins.m[j - 1], base.margins.m[j - 2],
-                      *sensitivity_bounds(base, j), 0.0)
+            _step_size(base.margins.m[j - 1], base.margins.m[j - 2],
+                       *sensitivity_bounds(base, j), 0.0)
             for j in (2, 3)
         ]
         for c in (2.0, 5.0):
@@ -335,7 +335,7 @@ class TestMarginSpec:
         b, m = scenario.margins.b, scenario.margins.m
         deltas = step_sizes(scenario)
         for j in (2, 3):
-            assert deltas[j - 1] == step_size(
+            assert deltas[j - 1] == _step_size(
                 m[j - 1], m[j - 2], *sensitivity_bounds(scenario, j),
                 b[j - 1] - b[j - 2])
         with pytest.raises(TypeError):
