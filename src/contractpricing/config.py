@@ -132,7 +132,9 @@ def _validated(prefix: str, build, *args, **kwargs):
 def _family(decl: dict, path: str, families: tuple) -> str:
     family = require(decl, "family", path)
     if not isinstance(family, str) or family not in families:
-        raise ConfigError(f"{path}.family: unknown family '{family}'")
+        # the value is not echoed: a JSON integer or string may be of any length
+        raise ConfigError(f"{path}.family: unknown family, expected one of "
+                          f"{', '.join(families)}")
     return family
 
 

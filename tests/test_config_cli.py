@@ -706,7 +706,19 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         parsed = json.loads(err)
         assert parsed["error"]["exit_code"] == 2
-        assert "expp" in parsed["error"]["message"]
+        assert parsed["error"]["message"] == ("budgets[0].family: unknown family, expected "
+                                              "one of linear, log, power, scaled, tabulated")
+
+    @pytest.mark.parametrize("family", [10 ** 400, "x" * 10 ** 4], ids=["int", "string"])
+    def test_unknown_family_message_is_short(self, tmp_path, capsys, family):
+        payload = json.loads(json.dumps(PROFILE_CONFIG))
+        payload["tariff"]["family"] = family
+        config = write_config(tmp_path, payload)
+        assert run(["check", config, "--quiet"]) == 2
+        parsed = json.loads(capsys.readouterr().err)
+        assert parsed["error"]["type"] == "ConfigError"
+        assert parsed["error"]["message"].startswith("tariff.family: unknown family")
+        assert len(parsed["error"]["message"]) < 200
 
     def test_huge_integer_literal_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(PROFILE_CONFIG))

@@ -33,7 +33,8 @@ from contractpricing import (
 from contractpricing.serialize import dumps_canonical, write_csv
 from contractpricing import functions
 from contractpricing.functions import tolerance
-from contractpricing.verify import SIM_BLOCK, _count_at_or_below, _uniform_fill
+from contractpricing import verify
+from contractpricing.verify import SIM_BLOCK, _count_at_or_below, _pairwise, _uniform_fill
 from conftest import (
     BENCH,
     DIP_THETA,
@@ -119,6 +120,19 @@ class TestVerifyProfile:
         assert not report.passed
         assert any(v.constraint == "IC" and v.k == 1 and v.l == 2
                    for v in report.violations)
+
+    def test_prices_below_the_profit_floor_break_only_ir_profit(
+            self, bilinear_profile_scenario):
+        """A uniform shift of every price changes no saving difference, so
+        neither IC nor the profit constraint moves; at 0.15 lower, only
+        band 1's price falls below its floor C(s_1) + b_1 = 1.1."""
+        profile = build_profile(bilinear_profile_scenario)
+        lowered = dataclasses.replace(profile,
+                                      prices=tuple(p - 0.15 for p in profile.prices))
+        report = verify_profile(lowered, bilinear_profile_scenario)
+        assert [(v.constraint, v.k, v.l) for v in report.violations] == [("IR.profit", 1, None)]
+        assert report.violations[0].margin == pytest.approx(-1 / 30, abs=1e-12)
+        assert report.violations[0].witness["floor"] == 1.1
 
     def test_zero_width_bands_still_wellformed(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
@@ -314,6 +328,19 @@ class TestSimulateMarket:
         assert report.out_of_band is None
         assert json.loads(dumps_canonical(report.to_dict()))["out_of_band"] is None
 
+    @pytest.mark.parametrize("short, meets", [(0.5, True), (2.0, False)])
+    def test_profit_target_within_the_tolerance(self, short, meets):
+        """A profit ``short`` tolerances below b_k: half a tolerance still
+        meets the target, two do not."""
+        profile, scenario = single_quality_case()
+        floor = scenario.cost.value(1.0) + scenario.margins.b[0]
+        price = floor - short * tolerance(floor, scenario.cost.value(1.0),
+                                          scenario.margins.b[0])
+        band, = simulate_market(dataclasses.replace(profile, prices=(price,)),
+                                scenario, 10, 5).bands
+        assert band.provider_profit < band.profit_target
+        assert band.meets_profit_target is meets
+
 
 class TestUniformFill:
     """The simulator draws a block as one ``random`` fill scaled in place;
@@ -464,7 +491,8 @@ ORACLE_CASES = {
        for family, n in load_bench("workloads").MarketSim.PROFILES},
 }
 
-ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 1, 10 ** 5)
+ORACLE_SAMPLES = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 2 * SIM_BLOCK + 9,
+                  3 * SIM_BLOCK + 1, 10 ** 5)
 
 
 class TestSimulatorOracle:
@@ -679,35 +707,91 @@ def test_out_of_band_rule_for_demands_not_increasing():
     assert report.min_saving == float(np.min(saving))
 
 
-def simulation_peak(n_qualities):
-    """tracemalloc's peak over one simulation of 10**6 users per band on a
-    bench bilinear profile with ``n_qualities`` qualities."""
+def simulation_peak(n_qualities, samples=10 ** 6):
+    """tracemalloc's peak over one simulation of ``samples`` users per band
+    on a bench bilinear profile with ``n_qualities`` qualities."""
     scenarios = load_bench("scenarios")
     scenario = scenarios.profile_scenario(np.random.default_rng(3), "bilinear",
                                           n_qualities, 0.6)
     profile = build_profile(scenario)
     tracemalloc.start()
     try:
-        simulate_market(profile, scenario, 10 ** 6, 1)
+        simulate_market(profile, scenario, samples, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_simulation_memory_independent_of_quality_count():
-    """One float array of 10**6 (7.6 MiB, a band's savings at its own
-    quality) plus a block's savings at every quality bound a simulation
-    of 8 qualities; the qualities x samples savings matrix alone would
-    take 61 MiB."""
+    """A block's savings at every quality (1 MiB at 8 qualities) bound a
+    simulation of 10**6 users per band; one float array of 10**6 would
+    take 7.6 MiB, the qualities x samples savings matrix 61 MiB."""
     peak = simulation_peak(8)
-    assert peak < 16e6, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < 4e6, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_simulation_memory_at_32_qualities():
     """Four times the qualities grow only the per-block arrays (a block's
     savings at 32 qualities take 4 MiB)."""
     peak = simulation_peak(32)
-    assert peak < 24e6, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < 8e6, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_simulation_memory_independent_of_sample_count():
+    """Eight times the users take no more memory: one float array of
+    8 * SIM_BLOCK + 1 (1 MiB, a band's savings kept for the mean) would
+    add 70% to the peak of a single block."""
+    one_block = simulation_peak(8, SIM_BLOCK)
+    peak = simulation_peak(8, 8 * SIM_BLOCK + 1)
+    assert peak <= 1.5 * one_block, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+class TestPairwiseTree:
+    """numpy sums a float array of more than 128 entries as the sum of its
+    two parts, split after half its size rounded down to a multiple of 8.
+    The simulator relies on that rule: it sums each band's savings block
+    by block along the same tree and reports the mean ``np.mean`` would
+    give.  A numpy that changes the rule fails here."""
+
+    @staticmethod
+    def tree_sum(values):
+        """``_pairwise`` over ``values`` with the leaves ``np.add.reduce``,
+        and the leaves' ranges in the order they were called."""
+        leaves = []
+
+        def leaf(start, stop):
+            leaves.append((start, stop))
+            return np.add.reduce(values[start:stop])
+
+        return _pairwise(leaf, 0, values.size), leaves
+
+    @staticmethod
+    def spread(size):
+        """``size`` values of both signs over magnitudes 10**-3 to 10**3."""
+        rng = np.random.default_rng(size)
+        return rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+    def assert_numpys_sum(self, values):
+        total, leaves = self.tree_sum(values)
+        assert total == np.add.reduce(values), f"numpy's pairwise split changed at {values.size}"
+        assert total / values.size == np.mean(values)
+        # the leaves are called left to right and cover the range once
+        assert [stop for _, stop in leaves[:-1]] == [start for start, _ in leaves[1:]]
+        assert leaves[0][0] == 0 and leaves[-1][1] == values.size
+        assert all(stop - start <= verify.SIM_BLOCK for start, stop in leaves)
+
+    @pytest.mark.parametrize("size", [SIM_BLOCK - 1, SIM_BLOCK + 1,
+                                      2 * SIM_BLOCK + 9, 10 ** 6 + 3])
+    def test_sum_is_numpys(self, size):
+        self.assert_numpys_sum(self.spread(size))
+
+    @pytest.mark.parametrize("block", [SIM_BLOCK, 128])
+    def test_small_sizes(self, monkeypatch, block):
+        """Sizes 1 to 300, with the simulator's block and with numpy's own
+        128-entry leaf, below which numpy sums without splitting."""
+        monkeypatch.setattr(verify, "SIM_BLOCK", block)
+        for size in range(1, 301):
+            self.assert_numpys_sum(self.spread(size))
 
 
 def bilinear_profiles():
