@@ -11,17 +11,17 @@ run at load, with the field path in front of their messages (``cost:
 linear slope must be finite``); the scenarios own their defaults
 (price_lambda 0.5, grid_n 512, s_search_max 1e6, s_probe_max 100).
 :mod:`.tradeoff` checks the tradeoff values and grids, and the simulator
-``seed`` and ``samples_per_band``, when a command reads them.  Only the
-run-time knobs keep defaults here (probes 9, quad_n 256, seed 42,
-samples_per_band 1000, points 50).  Nothing reads ``probes`` and
-``quad_n``: integers with no floor, checked here and hashed, because
-dropping them would change the hash of every profile scenario.  The
+``seed`` and ``samples_per_band``, when a command reads them.  Only these
+run-time knobs and ``points`` keep defaults here (seed 42, samples_per_band
+1000, points 50); they set what a command runs, not the scenario.  The
 empirical template of a tradeoff config takes only qualities, tariff,
-cost, box and grid_n.  The resolved dictionary, defaults filled in and
-built values read back as built, has a canonical hash that solution
-files embed to detect configuration drift.  :func:`load_solution`
-checks a solution file's mode and hash; the solution class's
-``from_dict`` parses its body, and the verifier checks its counts.
+cost, box and grid_n.  The resolved dictionary, defaults filled in, built
+values read back as built and tradeoff integers as floats, has a canonical
+hash that solution files embed to detect configuration drift.  In place
+of the knobs it holds the constants it held before (probes 9, quad_n 256
+and the defaults), so a solution stored at the defaults keeps its hash.
+:func:`load_solution` checks a solution file's mode and hash; the solution
+class's ``from_dict`` parses its body, and the verifier checks its counts.
 
 Function declarations::
 
@@ -63,20 +63,10 @@ from .functions import (
     TabulatedTariff,
     TariffFunction,
     _coefficients,
-    check_integer,
 )
 from .menu import MenuScenario, QualityPriceMenu
 from .profile import DemandPriceProfile, MarginSpec, ProfileScenario
 from .serialize import scenario_hash
-
-#: defaults of the run-time knobs; the scenario dataclasses own the rest
-DEFAULTS = {
-    "probes": 9,
-    "quad_n": 256,
-    "seed": 42,
-    "samples_per_band": 1000,
-    "points": 50,
-}
 
 #: closed-form families: constructor and argument names (= config keys)
 _CLOSED_FORMS = {
@@ -228,7 +218,7 @@ class TradeoffParams:
     demand_range: float
     n_types: int
     d_p: float
-    points: int
+    points: int = 50
     empirical: Optional["EmpiricalGrid"] = None
 
 
@@ -248,8 +238,8 @@ class ScenarioConfig:
     menu: Optional[MenuScenario] = None
     profile: Optional[ProfileScenario] = None
     tradeoff: Optional[TradeoffParams] = None
-    seed: int = DEFAULTS["seed"]
-    samples_per_band: int = DEFAULTS["samples_per_band"]
+    seed: int = 42  # the run-time knobs: defaults of simulate, not hashed
+    samples_per_band: int = 1000
 
     @property
     def hash(self) -> str:
@@ -338,24 +328,33 @@ def _parse_profile_core(raw: dict, path_prefix: str, base_dir: Path,
 
 def _parse_profile(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "qualities", "tariff", "cost", "box",
-                          "margins", "price_lambda", "grid_n", "probes",
-                          "quad_n", "seed", "samples_per_band"},
-                    "config")
+                          "margins", "price_lambda", "grid_n", "seed",
+                          "samples_per_band"}, "config")
     scenario, resolved = _parse_profile_core(raw, "", base_dir)
-    knobs = {key: raw.get(key, DEFAULTS[key])
-             for key in ("probes", "quad_n", "seed", "samples_per_band")}
-    resolved.update(knobs)
-    for key in ("probes", "quad_n"):  # hashed, read by nothing: checked here
-        check_integer(key, knobs.pop(key))
-    return resolved, {"profile": scenario, **knobs}
+    # former defaults, fixed (module docstring); ROADMAP item 4 drops them at its re-pin
+    resolved.update(probes=9, quad_n=256, seed=42, samples_per_band=1000)
+    return resolved, {"profile": scenario, **_given(raw, "seed", "samples_per_band")}
+
+
+def _hashed_float(value):
+    """A tradeoff number or list as the tradeoff call reads it: an int as its
+    float (``10**17`` as ``1e17``) unless too large, which that call rejects."""
+    if isinstance(value, list):
+        return [_hashed_float(item) for item in value]
+    try:
+        return float(value) if type(value) is int else value  # not a bool
+    except OverflowError:
+        return value
 
 
 def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
     _reject_unknown(raw, {"mode", "delta_s", "delta_theta", "types", "d_p",
                           "points", "empirical"}, "config")
-    resolved = {"mode": "tradeoff", "points": raw.get("points", DEFAULTS["points"]),
-                **{key: require(raw, key, "config")
-                   for key in ("delta_s", "delta_theta", "types", "d_p")}}
+    values = {key: require(raw, key, "config")
+              for key in ("delta_s", "delta_theta", "types", "d_p")}
+    resolved = {"mode": "tradeoff", "points": 50,  # fixed as in _parse_profile
+                **{key: value if key == "types" else _hashed_float(value)
+                   for key, value in values.items()}}
     empirical = None
     if "empirical" in raw:
         emp = expect_dict(raw["empirical"], "empirical")
@@ -369,11 +368,22 @@ def _parse_tradeoff(raw: dict, base_dir: Path) -> tuple[dict, dict]:
         template, template_res = _parse_profile_core(
             scn_raw, "empirical.scenario.", base_dir, require_margins=False)
         empirical = EmpiricalGrid(template, b_grid, m_grid)
-        resolved["empirical"] = {"b_grid": b_grid, "m_grid": m_grid,
+        resolved["empirical"] = {"b_grid": _hashed_float(b_grid),
+                                 "m_grid": _hashed_float(m_grid),
                                  "scenario": template_res}
     return resolved, {"tradeoff": TradeoffParams(
-        resolved["delta_s"], resolved["delta_theta"], resolved["types"],
-        resolved["d_p"], resolved["points"], empirical)}
+        *values.values(), empirical=empirical, **_given(raw, "points"))}
+
+
+def _read_json(path: Path, missing: str, malformed: str):
+    """The JSON document in ``path``; a file that is absent, or not UTF-8 or
+    JSON the decoder can nest, is a ``ConfigError`` led by the caller's text."""
+    if not path.is_file():
+        raise ConfigError(f"{missing}: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{malformed} in {path}: {exc}") from None
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
@@ -386,13 +396,8 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     scenario.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    raw = expect_dict(raw, "config")
+    raw = expect_dict(_read_json(path, "config file not found", "malformed JSON"),
+                      "config")
     _check_nesting(raw, "")
     mode = require(raw, "mode", "config")
     if mode not in ("menu", "profile", "tradeoff"):
@@ -412,13 +417,8 @@ def load_solution(path: Union[str, Path], config: ScenarioConfig
     verifier or simulator that reads it checks its entry counts.  Raises
     :class:`ConfigError` naming the field on any mismatch.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"solution file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"malformed solution JSON in {path}: {exc}") from None
+    data = _read_json(Path(path), "solution file not found",
+                      "malformed solution JSON")
     if not isinstance(data, dict) or "mode" not in data:
         raise ConfigError("solution file lacks a mode field")
     if data["mode"] != config.mode:

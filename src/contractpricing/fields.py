@@ -27,12 +27,12 @@ def require(d: dict, key: str, path: str):
     return d[key]
 
 
-def entry_list(data, key: str = "entries") -> list[tuple[str, dict]]:
-    """The objects of the list ``data[key]``, each with its field path."""
-    entries = require(expect_dict(data, "solution"), key, "solution")
+def entry_list(data) -> list[tuple[str, dict]]:
+    """The objects of the list ``data["entries"]``, each with its field path."""
+    entries = require(expect_dict(data, "solution"), "entries", "solution")
     if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{key}: expected a nonempty list of objects")
-    return [(f"{key}[{i}]", expect_dict(e, f"{key}[{i}]"))
+        raise ConfigError("entries: expected a nonempty list of objects")
+    return [(f"entries[{i}]", expect_dict(e, f"entries[{i}]"))
             for i, e in enumerate(entries)]
 
 

@@ -102,14 +102,33 @@ class TestLoadConfig:
         assert config.resolved["quad_n"] == 256
         assert config.profile.price_lambda == 0.5
 
-    def test_unread_knobs_have_no_floor_and_are_hashed(self, tmp_path):
-        # nothing reads probes or quad_n: any JSON integer loads, and the
-        # scenario hash still tracks it
-        default = load_config(write_config(tmp_path, PROFILE_CONFIG, "a.json"))
-        low = load_config(write_config(tmp_path, dict(PROFILE_CONFIG, probes=1, quad_n=1),
-                                       "b.json"))
-        assert (low.resolved["probes"], low.resolved["quad_n"]) == (1, 1)
-        assert low.hash != default.hash
+    @pytest.mark.parametrize("knob", ["probes", "quad_n"])
+    def test_unread_knobs_are_unknown_keys(self, tmp_path, capsys, knob):
+        # no command reads probes or quad_n, so a profile config has no such key
+        config = write_config(tmp_path, dict(PROFILE_CONFIG, **{knob: 9}))
+        assert run(["check", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ConfigError", "exit_code": 2,
+            "message": f"config: unknown key(s): {knob}"}
+
+    @pytest.mark.parametrize("base, changes", [
+        (PROFILE_CONFIG, {"seed": 43}),
+        (PROFILE_CONFIG, {"samples_per_band": 2000}),
+        (dict(TRADEOFF_CONFIG, points=50), {"points": 20}),
+    ], ids=["seed", "samples_per_band", "points"])
+    def test_run_time_knobs_are_not_hashed(self, tmp_path, base, changes):
+        # they set what simulate or tradeoff runs, not the scenario
+        changed = load_config(write_config(tmp_path, dict(base, **changes), "b.json"))
+        assert changed.hash == load_config(write_config(tmp_path, base, "a.json")).hash
+
+    @pytest.mark.parametrize("path", ["delta_s", "d_p", "empirical.m_grid.3"])
+    def test_tradeoff_integer_hashes_as_its_float(self, tmp_path, path):
+        # the tradeoff call reads 10**17 as the float 1e17, so the hash does
+        payload = json.loads((DEMOS / "tradeoff_homogeneous.json").read_text())
+        as_int, as_float = (load_config(write_config(
+            tmp_path, edited(payload, {path: value}), f"{name}.json")).hash
+            for name, value in (("int", 10 ** 17), ("float", 1e17)))
+        assert as_int == as_float
 
     def test_non_increasing_margins_rejected(self, tmp_path):
         payload = json.loads(json.dumps(PROFILE_CONFIG))
@@ -230,9 +249,9 @@ class TestLoadConfig:
     DEMO_DEFAULTS = {
         "menu_log_budget.json": {"s_search_max": 1e6, "s_probe_max": 100.0,
                                  "grid_n": 512},
-        "profile_bilinear.json": {"grid_n": 512, "probes": 9, "quad_n": 256},
-        "profile_separable.json": {"price_lambda": 0.5, "grid_n": 512, "probes": 9,
-                                   "quad_n": 256, "seed": 42, "samples_per_band": 1000},
+        "profile_bilinear.json": {"grid_n": 512},
+        "profile_separable.json": {"price_lambda": 0.5, "grid_n": 512, "seed": 42,
+                                   "samples_per_band": 1000},
         "tradeoff_homogeneous.json": {},
     }
 
@@ -358,6 +377,8 @@ class TestRulesAtTheirReader:
         "delta_theta": ({"delta_theta": -1.0}, "demand_range must be positive"),
         "types": ({"types": 0}, "n_types must be at least 1"),
         "d_p": ({"d_p": -3.0}, "d_p must be positive"),
+        # hashed as read at load, since no float holds it
+        "d_p_beyond_float": ({"d_p": 10 ** 400}, "d_p must be finite"),
         "points": ({"points": 1}, "n_points must be at least 2"),
         "b_grid": ({"empirical.b_grid.0": 0.0},
                    "b_grid must be finite, positive and increasing"),
@@ -561,6 +582,20 @@ class TestCliVerifySimulate:
         assert [v["k"] for v in budget] == [1]
         assert budget[0]["witness"]["theta"] == pytest.approx(DIP_THETA, rel=1e-8)
         assert budget[0]["margin"] == pytest.approx(1.0 - 1.21666667, abs=1e-8)
+
+    @pytest.mark.parametrize("knob, value", [("seed", 43), ("samples_per_band", 2000)])
+    def test_run_time_knob_keeps_the_stored_solution(self, tmp_path, knob, value):
+        """A simulator knob set in the config changes what simulate runs, not
+        the scenario hash: the demo's stored profile still verifies and
+        simulates."""
+        demo, out = DEMOS / "profile_bilinear.json", tmp_path / "out"
+        assert run(["profile", str(demo), "--out", str(out), "--quiet"]) == 0
+        config = write_config(tmp_path, dict(json.loads(demo.read_text()), **{knob: value}))
+        for command in ("verify", "simulate"):
+            assert run([command, config, str(out / "profile.json"),
+                        "--out", str(out), "--quiet"]) == 0, command
+        report = json.loads((out / "simulation.json").read_text())
+        assert report["rng_seed" if knob == "seed" else knob] == value
 
     def test_simulate(self, tmp_path):
         config = write_config(tmp_path, PROFILE_CONFIG)

@@ -134,6 +134,20 @@ class TestVerifyProfile:
         assert report.violations[0].margin == pytest.approx(-1 / 30, abs=1e-12)
         assert report.violations[0].witness["floor"] == 1.1
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_raised_price_breaks_only_its_profit_constraint(
+            self, bilinear_profile_scenario, k):
+        """p_k 0.05 higher lowers band k's own saving by 0.05, so only the
+        premium of band k over band k + 1 fails, by 0.05, labelled (k, k + 1)."""
+        profile = build_profile(bilinear_profile_scenario)
+        prices = list(profile.prices)
+        prices[k - 1] += 0.05
+        report = verify_profile(dataclasses.replace(profile, prices=tuple(prices)),
+                                bilinear_profile_scenario)
+        assert [(v.constraint, v.k, v.l) for v in report.violations] == [
+            ("profit_constraint", k, k + 1)]
+        assert report.violations[0].margin == pytest.approx(-0.05, abs=1e-12)
+
     def test_zero_width_bands_still_wellformed(self, bilinear_profile_scenario):
         profile = build_profile(bilinear_profile_scenario)
         degenerate = dataclasses.replace(
